@@ -163,12 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--storage",
         choices=_storage.STORAGE_MODES,
         default=None,
-        help="column-storage mode for the PLI substrate: 'encoded' "
-        "(dictionary-encoded int32 code arrays, the default), 'objects' "
-        "(boxed Python values, the legacy representation), or 'mmap' "
-        "(codes spilled to memory-mapped files under $REPRO_SPILL_DIR so "
+        help="where the dictionary-encoded int32 code arrays of every "
+        "column live: 'encoded' (in memory, the default) or 'mmap' "
+        "(spilled to memory-mapped files under $REPRO_SPILL_DIR so "
         "relations larger than RAM profile within a bounded footprint). "
-        "Results are bit-identical in every mode. Defaults to "
+        "Results are bit-identical in both modes. Defaults to "
         "$REPRO_STORAGE, or 'encoded' when unset",
     )
     sampling_group = parser.add_mutually_exclusive_group()
@@ -256,11 +255,6 @@ def _load(args: argparse.Namespace) -> Relation:
             relation = relation.head(args.max_rows)
     if not args.keep_duplicates:
         relation = relation.deduplicated()
-    if _storage.ACTIVE != "objects":
-        # head()/deduplicated() re-materialize object columns when they
-        # actually drop rows; restore the encoded substrate before any
-        # index is built (a no-op when the encodings survived).
-        _storage.encode_relation(relation)
     return relation
 
 
@@ -676,7 +670,9 @@ def build_watch_parser() -> argparse.ArgumentParser:
         "--storage",
         choices=_storage.STORAGE_MODES,
         default=None,
-        help="column-storage mode (default: $REPRO_STORAGE or encoded)",
+        help="where column code arrays live: 'encoded' (in memory) or "
+        "'mmap' (memory-mapped spill files); default: $REPRO_STORAGE or "
+        "encoded",
     )
     parser.add_argument(
         "--trace",

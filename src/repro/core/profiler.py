@@ -80,11 +80,13 @@ def profile(
         kernel's speed changes.  Scoped: the previous backend is restored
         on return.
     storage:
-        Column-storage mode for this call's PLI substrate (``"objects"``
-        / ``"encoded"`` / ``"mmap"``); ``None`` keeps the process's armed
-        mode (default ``encoded``, or ``$REPRO_STORAGE``).  Metadata and
-        counters are bit-identical across modes — only memory residency
-        and speed change.  Scoped like ``pli_backend``.
+        Where code arrays built during this call live (``"encoded"``, in
+        memory, or ``"mmap"``, spilled); ``None`` keeps the process's
+        armed mode (default ``encoded``, or ``$REPRO_STORAGE``).  The
+        relation itself was encoded when it was built, under the mode
+        armed then.  Metadata and counters are bit-identical across modes
+        — only memory residency and speed change.  Scoped like
+        ``pli_backend``.
 
     Returns
     -------

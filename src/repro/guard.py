@@ -46,15 +46,12 @@ __all__ = [
     "guarded",
 ]
 
-#: Rough CPython cost of one row id held in a PLI cluster under *object*
-#: storage (a boxed int plus its tuple slot).  The memory budget is an
+#: Estimated cost of one row id held in a PLI cluster: the dense int64
+#: width the encoded substrate feeds the kernel.  The memory budget is an
 #: *estimate* by design: it bounds the clustered rows materialized by
 #: intersections, the only quantity that grows without bound on
-#: adversarial inputs.  Under the dictionary-encoded storage modes the
-#: per-row figure is rebased to the dense encoded width (8 B) — budgets
-#: resolve the active storage mode at :meth:`Budget.start` via
-#: :func:`repro.relation.encoded.estimated_bytes_per_clustered_row`.
-ESTIMATED_BYTES_PER_CLUSTERED_ROW = 32
+#: adversarial inputs.
+ESTIMATED_BYTES_PER_CLUSTERED_ROW = 8
 
 
 class BudgetExceeded(RuntimeError):
@@ -107,11 +104,8 @@ class Budget:
         loops to two integer operations.  Intersections always check.
     bytes_per_clustered_row:
         Estimated memory per clustered row id used by the cluster-memory
-        accounting.  ``None`` (the default) resolves from the active
-        storage mode at each :meth:`start` — 32 B for boxed object
-        columns, 8 B once the substrate runs on dictionary-encoded code
-        arrays — so one ``--max-cluster-bytes`` figure means the same
-        physical bound whichever storage mode a run selects.
+        accounting.  ``None`` (the default) means
+        :data:`ESTIMATED_BYTES_PER_CLUSTERED_ROW`, in both storage modes.
 
     A budget is re-armed by :meth:`start` (which :func:`guarded` calls),
     so one instance can be reused across executions; ``intersections``,
@@ -127,7 +121,6 @@ class Budget:
         "intersections",
         "cluster_bytes",
         "bytes_per_clustered_row",
-        "_configured_bytes_per_row",
         "_started_at",
         "_deadline_at",
         "_ticks",
@@ -155,7 +148,9 @@ class Budget:
                 f"bytes_per_clustered_row must be positive, got "
                 f"{bytes_per_clustered_row}"
             )
-        self._configured_bytes_per_row = bytes_per_clustered_row
+        self.bytes_per_clustered_row = (
+            bytes_per_clustered_row or ESTIMATED_BYTES_PER_CLUSTERED_ROW
+        )
         self.deadline_seconds = deadline_seconds
         self.max_intersections = max_intersections
         self.max_cluster_bytes = max_cluster_bytes
@@ -168,14 +163,6 @@ class Budget:
         """(Re-)arm the budget: zero the counters, anchor the deadline."""
         self.intersections = 0
         self.cluster_bytes = 0
-        if self._configured_bytes_per_row is not None:
-            self.bytes_per_clustered_row = self._configured_bytes_per_row
-        else:
-            # Deferred import: this module stays import-order neutral for
-            # the substrate layers that import it at load time.
-            from .relation.encoded import estimated_bytes_per_clustered_row
-
-            self.bytes_per_clustered_row = estimated_bytes_per_clustered_row()
         self._ticks = 0
         self._started_at = time.perf_counter()
         self._deadline_at = (

@@ -518,11 +518,10 @@ def default_framework(
     (``None``/``True`` default on, ``False`` off).  ``pli_backend`` arms a
     PLI kernel backend process-wide (``"python"``/``"numpy"``; ``None``
     keeps the currently armed one) — the results are bit-identical either
-    way, only the kernel's speed changes.  ``storage`` likewise arms a
-    column-storage mode process-wide
-    (``"objects"``/``"encoded"``/``"mmap"``; ``None`` keeps the armed
-    one): metadata and counters are identical across modes, only memory
-    residency and speed change.
+    way, only the kernel's speed changes.  ``storage`` likewise arms where
+    column code arrays live, process-wide (``"encoded"``/``"mmap"``;
+    ``None`` keeps the armed one): metadata and counters are identical
+    across modes, only memory residency and speed change.
     """
     from ..algorithms.tane import TaneResult, tane
     from ..pli.store import PliStore

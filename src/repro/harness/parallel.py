@@ -222,8 +222,8 @@ def _execute_point_record(task: PointTask, SweepPoint) -> dict[str, Any]:
         # workers silently compute on a different kernel than the parent.
         _backend.set_backend(task.pli_backend)
     if task.storage is not None:
-        # Same contract for the storage mode: the worker's substrate must
-        # encode (or not) exactly like the parent's would have.
+        # Same contract for the storage mode: relations the worker builds
+        # keep their codes where the parent's would have.
         _encoded.set_storage(task.storage)
     if task.trace and _trace.ACTIVE is None:
         # The parent was tracing when it built the task; bring this

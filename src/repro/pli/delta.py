@@ -54,22 +54,14 @@ class ColumnDelta:
     """Per-column occurrence state carried across appends.
 
     ``counts[code]`` is how many rows hold ``code`` so far and
-    ``first_rows[code]`` the first row that held it.  ``positions`` maps
-    values to codes for object-storage columns (encoded columns keep
-    their own map inside :class:`~repro.relation.encoded.EncodedColumn`).
+    ``first_rows[code]`` the first row that held it.
     """
 
-    __slots__ = ("counts", "first_rows", "positions")
+    __slots__ = ("counts", "first_rows")
 
-    def __init__(
-        self,
-        counts: list[int],
-        first_rows: list[int],
-        positions: dict[Any, int] | None = None,
-    ):
+    def __init__(self, counts: list[int], first_rows: list[int]):
         self.counts = counts
         self.first_rows = first_rows
-        self.positions = positions
 
     @classmethod
     def from_codes(cls, codes: Sequence[int], n_codes: int) -> "ColumnDelta":
@@ -81,41 +73,6 @@ class ColumnDelta:
                 first_rows[code] = row
             counts[code] += 1
         return cls(counts, first_rows)
-
-    @classmethod
-    def from_values(cls, values: Sequence[Any]) -> "ColumnDelta":
-        """Seed from raw values (object storage): assigns first-seen ids."""
-        positions: dict[Any, int] = {}
-        counts: list[int] = []
-        first_rows: list[int] = []
-        for row, value in enumerate(values):
-            code = positions.get(value)
-            if code is None:
-                positions[value] = len(positions)
-                counts.append(1)
-                first_rows.append(row)
-            else:
-                counts[code] += 1
-        return cls(counts, first_rows, positions)
-
-    def encode_batch(self, values: Sequence[Any]) -> list[int]:
-        """Object-storage path: map batch values to (possibly new) ids.
-
-        New values get the next dense first-seen id, mirroring exactly
-        what :func:`repro.pli.pli.value_vector` would have produced over
-        the combined column.
-        """
-        positions = self.positions
-        if positions is None:
-            raise ValueError("encode_batch requires a value-position map")
-        codes: list[int] = []
-        for value in values:
-            code = positions.get(value)
-            if code is None:
-                code = len(positions)
-                positions[value] = code
-            codes.append(code)
-        return codes
 
 
 @dataclass(slots=True)

@@ -53,9 +53,9 @@ class PliStore:
         give every worker the sweep's backend.  ``None`` keeps whatever
         is armed (the environment default).
     storage:
-        Column-storage mode the substrate ingests relations under
-        (``"objects"`` / ``"encoded"`` / ``"mmap"``).  Process-global
-        like ``pli_backend``; ``None`` keeps the armed mode.
+        Storage mode for the code arrays of relations built from here on
+        (``"encoded"`` / ``"mmap"``).  Process-global like
+        ``pli_backend``; ``None`` keeps the armed mode.
     """
 
     def __init__(

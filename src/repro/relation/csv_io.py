@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import TextIO
 
 from ..faults import CSV_READ, FAULTS
-from . import encoded as _encoded
 from .encoded import ColumnEncoder
 from .relation import Relation, SchemaError, _column_hasher, _combine_column_digests, _value_token
 
@@ -40,8 +39,7 @@ def read_csv(
     The read is a **single streaming pass** shared by three consumers
     (paper §3's "one shared I/O" argument, taken literally): each decoded
     value is (a) dictionary-encoded into the active storage mode's code
-    arrays (``encoded``/``mmap``; under ``objects`` the boxed tuples of
-    the seed representation are kept), and (b) streamed through a
+    arrays (``encoded`` or ``mmap``), and (b) streamed through a
     per-column fingerprint hasher, so :meth:`Relation.fingerprint` — the
     result-cache key — is already computed when the function returns.  In
     ``mmap`` mode the decoded objects are *not* materialized: codes spill
@@ -100,14 +98,8 @@ def read_csv(
     start = 2
     width = len(header)
 
-    storage = _encoded.ACTIVE
     hashers = [_column_hasher(str(column_name)) for column_name in header]
-    encoders: list[ColumnEncoder] | None = None
-    columns: list[list[object]] | None = None
-    if storage == "objects":
-        columns = [[] for _ in range(width)]
-    else:
-        encoders = [ColumnEncoder(storage) for _ in range(width)]
+    encoders = [ColumnEncoder() for _ in range(width)]
 
     n_rows = 0
 
@@ -120,10 +112,7 @@ def read_csv(
         for index, field in enumerate(fields):
             value = None if field in nulls else field
             hashers[index].update(_value_token(value))
-            if encoders is not None:
-                encoders[index].add(value)
-            else:
-                columns[index].append(value)
+            encoders[index].add(value)
         n_rows += 1
 
     try:
@@ -133,15 +122,10 @@ def read_csv(
             if FAULTS.armed:
                 FAULTS.trip(CSV_READ)  # deterministic I/O-failure injection
             consume(row, line_no)
-        built = (
-            [encoder.finish() for encoder in encoders]
-            if encoders is not None
-            else columns
-        )
+        built = [encoder.finish() for encoder in encoders]
     except BaseException:
-        if encoders is not None:
-            for encoder in encoders:
-                encoder.abort()
+        for encoder in encoders:
+            encoder.abort()
         raise
 
     relation = Relation(header, built, name=name or "relation")

@@ -1,8 +1,8 @@
 """Dictionary-encoded columnar storage (with an out-of-core spill path).
 
 The profiling substrate never needs the *values* of a column on its hot
-path — it needs to know which rows share a value.  This module therefore
-stores each column as
+path — it needs to know which rows share a value.  Every column of a
+:class:`~repro.relation.relation.Relation` is therefore stored as
 
 * a **dictionary**: the distinct values in first-seen order, and
 * a dense **code array**: one ``int32`` per row, the row's value's index
@@ -17,16 +17,15 @@ no per-value hashing or boxing at all
 the NumPy backend's argsort grouping, which consumes the code buffer
 zero-copy via ``np.frombuffer``).
 
-Three **storage modes** exist, selected process-globally like the PLI
+Encoding happens when a relation is built: ``read_csv`` streams values
+straight into a :class:`ColumnEncoder` per column, and ``Relation``
+encodes any plain sequence it is handed.  Two **storage modes** decide
+where the code arrays live, selected process-globally like the PLI
 kernel backend (``--storage`` / ``$REPRO_STORAGE`` /
 :func:`set_storage` / :func:`use_storage`):
 
-* ``objects`` — the seed representation: columns are tuples of boxed
-  Python values, the index re-groups them per column.  Kept as the
-  differential baseline.
 * ``encoded`` — the default: code arrays live in ``array('i')`` buffers
-  (stdlib only, the zero-dependency promise).  This is the mode every
-  pipeline runs on unless told otherwise.
+  (stdlib only, the zero-dependency promise).
 * ``mmap`` — the out-of-core mode: code arrays are spilled to
   memory-mapped files under a spill directory
   (``$REPRO_SPILL_DIR`` or the system temp dir), so the resident cost of
@@ -41,9 +40,10 @@ point and are retried under the harness retry policy (transient I/O is
 absorbed exactly like cache/checkpoint writes).
 
 Exactness: encoding is a bijective re-labelling per column, so PLIs,
-value vectors, and distinct-value lists derived from codes are
-bit-identical to the object path — the differential and metamorphic
-suites parametrize over all three modes to pin this.
+value vectors, and distinct-value lists derived from codes equal those a
+grouping of the decoded values would produce — the differential suites
+pin this against :func:`repro.pli.pli.pli_from_column` and run both
+modes.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "active_storage",
     "encode_column",
     "encode_relation",
-    "estimated_bytes_per_clustered_row",
     "resolve_storage",
     "set_storage",
     "spill_directory",
@@ -85,8 +84,8 @@ ENV_VAR = "REPRO_STORAGE"
 #: Environment variable overriding the spill directory for ``mmap`` mode.
 SPILL_DIR_ENV = "REPRO_SPILL_DIR"
 
-#: Valid storage modes, in "most boxed" to "least resident" order.
-STORAGE_MODES = ("objects", "encoded", "mmap")
+#: Valid storage modes, in "most" to "least resident" order.
+STORAGE_MODES = ("encoded", "mmap")
 
 #: Bytes per code: ``array('i')`` / little-endian ``int32`` on every
 #: platform this package targets (dictionary sizes are bounded by the
@@ -137,7 +136,7 @@ def _from_environment() -> str:
 
 
 #: The process-wide active storage mode (read at ingest time by
-#: ``read_csv``, ``encode_relation``, and ``RelationIndex``).
+#: ``read_csv`` and ``Relation``).
 ACTIVE: str = _from_environment()
 
 
@@ -186,28 +185,14 @@ def spill_directory(override: str | None = None) -> str:
     return root
 
 
-def estimated_bytes_per_clustered_row(storage: str | None = None) -> int:
-    """Estimated memory cost of one clustered row id under ``storage``.
-
-    The execution guard's cluster-memory budget multiplies clustered
-    rows by this figure.  Object storage pays a boxed int plus its tuple
-    slot (~32 B); encoded storage is accounted at the dense-code width
-    the substrate actually feeds the kernel.
-    """
-    mode = resolve_storage(storage) if storage is not None else ACTIVE
-    if mode == "objects":
-        return 32
-    return 8  # int64 row id in an encoded cluster / kernel array
-
-
 class EncodedColumn:
     """One dictionary-encoded column: dense codes plus a dictionary.
 
     Behaves like the tuple of values it encodes — ``len``, indexing,
     slicing, iteration, equality, and hashing all see decoded values —
-    so a :class:`~repro.relation.relation.Relation` can hold it in place
-    of an object column.  The profiling substrate bypasses the decoded
-    view entirely and reads :attr:`codes` / :attr:`dictionary` directly.
+    which is what :meth:`~repro.relation.relation.Relation.column`
+    returns.  The profiling substrate bypasses the decoded view entirely
+    and reads :attr:`codes` / :attr:`dictionary` directly.
 
     ``codes`` is an ``array('i')`` (``encoded`` mode) or a ``memoryview``
     over a memory-mapped spill file (``mmap`` mode); both subscript to
@@ -257,11 +242,6 @@ class EncodedColumn:
         """Distinct values (the dictionary size)."""
         return len(self.dictionary)
 
-    @property
-    def encoded_bytes(self) -> int:
-        """Estimated resident bytes of this column's encoded form."""
-        return len(self.codes) * CODE_BYTES + 64 * len(self.dictionary)
-
     def code_buffer(self) -> "array | memoryview":
         """The raw int32 code buffer (zero-copy input for
         ``np.frombuffer``)."""
@@ -279,6 +259,38 @@ class EncodedColumn:
             return self.codes
         return self.codes.tolist()
 
+    def positions(self) -> dict[Any, int]:
+        """Value -> code map of the dictionary (built once, kept current
+        by :meth:`append_values`)."""
+        if self._positions is None:
+            self._positions = {
+                value: code for code, value in enumerate(self.dictionary)
+            }
+        return self._positions
+
+    # -- derived columns -----------------------------------------------------
+
+    def copy(self) -> "EncodedColumn":
+        """An independent column with the same content: appending to
+        either one never shows through the other."""
+        return _column_from_codes(self.codes, list(self.dictionary), self.storage)
+
+    def head(self, n_rows: int) -> "EncodedColumn":
+        """The first ``n_rows`` rows.  A prefix keeps first-seen order, so
+        its codes are exactly ``0 .. max`` and the dictionary is cut
+        there."""
+        codes = self.codes[:n_rows]
+        kept = max(codes, default=-1) + 1
+        return _column_from_codes(codes, self.dictionary[:kept], self.storage)
+
+    def take(self, rows: Sequence[int]) -> "EncodedColumn":
+        """The given ascending rows, which must include every value's
+        first occurrence (a first-occurrence dedup does): the gathered
+        codes then stay first-seen ordered over the full dictionary."""
+        codes = self.codes
+        gathered = array("i", [codes[row] for row in rows])
+        return _column_from_codes(gathered, list(self.dictionary), self.storage)
+
     # -- appends -----------------------------------------------------------
 
     def append_values(self, values: Sequence[Any]) -> list[int]:
@@ -291,12 +303,7 @@ class EncodedColumn:
         the pre-append codes; callers holding derived vectors refresh
         them through the PLI layer's append path.
         """
-        positions = self._positions
-        if positions is None:
-            positions = {
-                value: code for code, value in enumerate(self.dictionary)
-            }
-            self._positions = positions
+        positions = self.positions()
         dictionary = self.dictionary
         codes: list[int] = []
         for value in values:
@@ -373,9 +380,10 @@ class EncodedColumn:
         return self.dictionary[self.codes[key]]
 
     def __iter__(self) -> Iterator[Any]:
-        dictionary = self.dictionary
-        for code in self.codes:
-            yield dictionary[code]
+        return map(self.dictionary.__getitem__, self.codes)
+
+    def count(self, value: Any) -> int:
+        return tuple(self).count(value)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EncodedColumn):
@@ -389,8 +397,8 @@ class EncodedColumn:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Must match the decoded tuple's hash so an encoded relation and
-        # its object twin stay interchangeable as dict/set keys.
+        # Must match the decoded tuple's hash: a column compares equal to
+        # the tuple of its values, so both must be the same dict/set key.
         if self._hash is None:
             self._hash = hash(tuple(self))
         return self._hash
@@ -459,10 +467,6 @@ class ColumnEncoder:
 
     def __init__(self, storage: str | None = None, spill_dir: str | None = None):
         self.storage = resolve_storage(storage) if storage is not None else ACTIVE
-        if self.storage == "objects":
-            raise StorageUnavailable(
-                "objects storage has no encoder; build the relation directly"
-            )
         self._dictionary: list[Any] = []
         self._positions: dict[Any, int] = {}
         self._spill_dir = spill_dir
@@ -492,10 +496,15 @@ class ColumnEncoder:
             self._codes.append(code)
         return code
 
-    def extend(self, values: Iterator[Any]) -> None:
-        """Encode a whole iterable of values."""
-        for value in values:
-            self.add(value)
+    def extend_codes(self, codes: Sequence[int]) -> None:
+        """Append codes that are already assigned against this encoder's
+        dictionary (see :func:`_column_from_codes`)."""
+        if self._chunk is None:
+            self._codes.extend(codes)
+            return
+        for start in range(0, len(codes), SPILL_CHUNK_CODES):
+            self._chunk.extend(codes[start : start + SPILL_CHUNK_CODES])
+            self._flush()
 
     # -- spill path --------------------------------------------------------
 
@@ -579,9 +588,31 @@ def encode_column(
     spill_dir: str | None = None,
 ) -> EncodedColumn:
     """Dictionary-encode one materialized column."""
+    positions: dict[Any, int] = {}
+    codes = array(
+        "i", [positions.setdefault(value, len(positions)) for value in values]
+    )
+    column = _column_from_codes(codes, list(positions), storage, spill_dir)
+    column._positions = positions
+    return column
+
+
+def _column_from_codes(
+    codes: Sequence[int],
+    dictionary: list[Any],
+    storage: str | None = None,
+    spill_dir: str | None = None,
+) -> EncodedColumn:
+    """Seal already-assigned codes over ``dictionary`` into a new column.
+
+    The codes must be first-seen ordered over the dictionary (code ``k``
+    first appears after codes ``0 .. k-1``); the caller hands over the
+    dictionary list, which the new column then owns.
+    """
     encoder = ColumnEncoder(storage=storage, spill_dir=spill_dir)
+    encoder._dictionary = dictionary
     try:
-        encoder.extend(iter(values))
+        encoder.extend_codes(codes)
         return encoder.finish()
     except BaseException:
         encoder.abort()
@@ -593,44 +624,10 @@ def encode_relation(
     storage: str | None = None,
     spill_dir: str | None = None,
 ) -> "Any":
-    """Attach dictionary encodings to ``relation`` (in place) and return it.
+    """Return ``relation`` unchanged.
 
-    Columns that are already :class:`EncodedColumn` instances are kept;
-    plain columns gain a sidecar encoding, leaving the object tuples
-    untouched (``objects`` mode is therefore a no-op).  The substrate
-    (:class:`~repro.pli.index.RelationIndex`) consults
-    ``relation.encoding(i)`` and takes the code path whenever one exists.
+    Every :class:`~repro.relation.relation.Relation` is encoded when it
+    is built, so there is nothing left to attach; kept for callers that
+    still spell out the step.
     """
-    mode = resolve_storage(storage) if storage is not None else ACTIVE
-    if mode == "objects":
-        return relation
-    if all(
-        relation.encoding(index) is not None
-        for index in range(relation.n_columns)
-    ):
-        return relation
-    with _trace.span(
-        "storage.encode",
-        relation=relation.name,
-        columns=relation.n_columns,
-        rows=relation.n_rows,
-        storage=mode,
-    ):
-        encodings = []
-        for index in range(relation.n_columns):
-            existing = relation.encoding(index)
-            if existing is not None:
-                encodings.append(existing)
-                continue
-            column = encode_column(
-                relation.column(index), storage=mode, spill_dir=spill_dir
-            )
-            encodings.append(column)
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                tracer.count("storage.encoded_columns")
-                tracer.count(
-                    "storage.dictionary_entries", len(column.dictionary)
-                )
-        relation._encodings = tuple(encodings)
     return relation

@@ -1,10 +1,17 @@
-"""Column-oriented in-memory relation.
+"""Column-oriented relation over dictionary-encoded columns.
 
 The profiling algorithms operate on a single relation instance.  Values are
 arbitrary hashable Python objects; ``None`` denotes SQL NULL.  The relation
 is column-oriented because every algorithm in this package consumes whole
 columns (to build position list indexes or sorted distinct-value lists), not
-whole rows.
+whole rows.  Every column is an
+:class:`~repro.relation.encoded.EncodedColumn` — a first-seen dictionary
+plus one integer code per row — built when the relation is: ``read_csv``
+streams into encoders, and the constructor encodes any plain sequence in
+the armed storage mode.  Encoding merges values that compare equal, so a
+column may not hold two values that are equal under ``==`` but fingerprint
+differently (``1``/``1.0``/``True``, ``0.0``/``-0.0``); such a column is a
+:class:`SchemaError`.
 
 The paper assumes the input is duplicate-free (§3): a relation with two
 identical rows has no UCC at all and most inter-task pruning rules would not
@@ -17,7 +24,8 @@ import hashlib
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
-from .encoded import EncodedColumn
+from .. import trace as _trace
+from .encoded import EncodedColumn, encode_column
 
 Value = Any
 
@@ -62,6 +70,57 @@ def _value_token(value: Value) -> bytes:
     return b"\x00o" + str(len(payload)).encode() + b":" + payload
 
 
+#: Types whose equal values always share a fingerprint token.
+_EXACT_TYPES = frozenset({str, int, bool})
+
+
+def _reject_merged_values(
+    name: str, values: Sequence[Value], known: EncodedColumn | None = None
+) -> None:
+    """Refuse values that encoding would merge but fingerprinting tells apart.
+
+    Encoding groups values by ``==``, fingerprints tokenize them by type
+    and ``repr``; a column holding ``1`` and ``1.0`` (or ``0.0`` and
+    ``-0.0``) would decode to one of them and hash as the other.  Checks
+    ``values`` against each other and against ``known``'s dictionary (an
+    append batch).  CSV fields are ``str``/``None`` and never collide.
+    """
+    if known is None:
+        kinds = set(map(type, values))
+        kinds.discard(type(None))
+        if len(kinds) <= 1 and kinds <= _EXACT_TYPES:
+            return
+        positions: dict[Value, int] = {}
+        dictionary: Sequence[Value] = ()
+    else:
+        positions = known.positions()
+        dictionary = known.dictionary
+    fresh: dict[Value, Value] = {}
+    for value in values:
+        code = positions.get(value)
+        if code is None:
+            first = fresh.setdefault(value, value)
+        else:
+            first = dictionary[code]
+        kind = type(value)
+        if first is value or (type(first) is kind and kind in _EXACT_TYPES):
+            continue
+        if _value_token(first) != _value_token(value):
+            raise SchemaError(
+                f"column {name!r} holds {first!r} and {value!r}, which "
+                "compare equal but are different values"
+            )
+
+
+def _encode(name: str, values: Sequence[Value]) -> EncodedColumn:
+    """Encode one plain column in the armed storage mode."""
+    _reject_merged_values(name, values)
+    column = encode_column(values)
+    _trace.count("storage.encoded_columns")
+    _trace.count("storage.dictionary_entries", len(column.dictionary))
+    return column
+
+
 #: Domain separator of the fingerprint format.  v2 hashes each column
 #: into its own SHA-256 digest and combines the per-column digests — the
 #: shape that lets ``read_csv`` fold fingerprinting into its row-order
@@ -99,7 +158,9 @@ class Relation:
     column_names:
         Unique names, one per column.
     columns:
-        One sequence of values per column; all must share the same length.
+        One sequence of values per column, encoded in the armed storage
+        mode, or an :class:`~repro.relation.encoded.EncodedColumn`, which
+        the relation then owns as-is; all must share the same length.
     name:
         Optional label used in reports (defaults to ``"relation"``).
     """
@@ -111,7 +172,6 @@ class Relation:
         "_name",
         "_positions",
         "_fingerprint",
-        "_encodings",
         "_hashers",
         "_parent_fingerprint",
     )
@@ -129,22 +189,22 @@ class Relation:
             raise SchemaError(
                 f"{len(names)} column names but {len(columns)} columns of data"
             )
-        # Dictionary-encoded columns are held as-is (they present the
-        # decoded tuple interface); anything else is frozen into a tuple.
-        cols = tuple(
-            col if isinstance(col, EncodedColumn) else tuple(col)
+        cols = [
+            col if isinstance(col, (EncodedColumn, tuple, list)) else tuple(col)
             for col in columns
-        )
+        ]
         lengths = {len(col) for col in cols}
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
         self._names = names
-        self._columns = cols
+        self._columns: tuple[EncodedColumn, ...] = tuple(
+            col if isinstance(col, EncodedColumn) else _encode(name, col)
+            for name, col in zip(names, cols)
+        )
         self._n_rows = lengths.pop() if lengths else 0
         self._name = name
         self._positions = {n: i for i, n in enumerate(names)}
         self._fingerprint: str | None = None
-        self._encodings: tuple[EncodedColumn | None, ...] | None = None
         # Live per-column fingerprint hashers (v2 is a running digest per
         # column, so appends can advance it instead of re-hashing from row
         # 0).  ``read_csv`` hands over its streaming hashers; in-memory
@@ -205,8 +265,9 @@ class Relation:
         """Number of columns."""
         return len(self._names)
 
-    def column(self, key: int | str) -> tuple[Value, ...]:
-        """Return one column's values, addressed by index or name."""
+    def column(self, key: int | str) -> EncodedColumn:
+        """Return one column (a tuple-like view of its values), addressed
+        by index or name."""
         return self._columns[self.column_index(key)]
 
     def column_index(self, key: int | str) -> int:
@@ -220,23 +281,10 @@ class Relation:
             raise IndexError(f"column index {key} out of range")
         return key
 
-    def encoding(self, key: int | str) -> EncodedColumn | None:
-        """This column's dictionary encoding, or ``None`` if it has none.
-
-        An encoding exists either because the column *is* an
-        :class:`~repro.relation.encoded.EncodedColumn` (the ``read_csv``
-        path) or because :func:`~repro.relation.encoded.encode_relation`
-        attached a sidecar (in-memory relations).  The PLI substrate
-        consults this and takes the integer-code path whenever it is
-        non-``None``.
-        """
-        index = self.column_index(key)
-        column = self._columns[index]
-        if isinstance(column, EncodedColumn):
-            return column
-        if self._encodings is not None:
-            return self._encodings[index]
-        return None
+    def encoding(self, key: int | str) -> EncodedColumn:
+        """This column's dictionary encoding (codes plus dictionary), the
+        form the PLI substrate reads."""
+        return self._columns[self.column_index(key)]
 
     def row(self, index: int) -> tuple[Value, ...]:
         """Materialize row ``index`` as a tuple."""
@@ -261,33 +309,12 @@ class Relation:
         never collide.  Computed once and cached on the instance (the
         relation is immutable).
         """
-        if self._fingerprint is not None:
-            return self._fingerprint
-        hashers = []
-        for index, (name, column) in enumerate(zip(self._names, self._columns)):
-            digest = _column_hasher(name)
-            encoding = self.encoding(index)
-            if encoding is not None:
-                # Token per dictionary entry, streamed per code: the same
-                # byte sequence as tokenizing every row, at dictionary
-                # (not row) tokenization cost.
-                tokens = [_value_token(value) for value in encoding.dictionary]
-                for code in encoding.codes:
-                    digest.update(tokens[code])
-            else:
-                for value in column:
-                    digest.update(_value_token(value))
-            hashers.append(digest)
-        # Keep the streamed hashers: digest() does not consume them, and a
-        # later append_rows advances them at O(batch) instead of paying a
-        # full re-stream in _ensure_hashers.
-        if self._hashers is None:
-            self._hashers = hashers
-        self._fingerprint = _combine_column_digests(
-            len(self._names),
-            self._n_rows,
-            (digest.digest() for digest in hashers),
-        )
+        if self._fingerprint is None:
+            self._fingerprint = _combine_column_digests(
+                len(self._names),
+                self._n_rows,
+                (digest.digest() for digest in self._ensure_hashers()),
+            )
         return self._fingerprint
 
     @property
@@ -306,24 +333,22 @@ class Relation:
     def _ensure_hashers(self) -> list["hashlib._Hash"]:
         """Per-column running digests matching the bytes hashed so far.
 
-        Rebuilding costs one pass over the data; relations built by
-        ``read_csv`` never pay it because the reader donates its streaming
-        hashers.
+        Building them costs one pass over the codes — a token per
+        dictionary entry, streamed per row, which is the byte sequence of
+        tokenizing every cell.  Relations built by ``read_csv`` never pay
+        it because the reader donates its streaming hashers.  ``digest()``
+        does not consume a hasher, so :meth:`append_rows` advances them
+        at O(batch).
         """
         hashers = self._hashers
         if hashers is not None:
             return hashers
         hashers = []
-        for index, (name, column) in enumerate(zip(self._names, self._columns)):
+        for name, column in zip(self._names, self._columns):
             digest = _column_hasher(name)
-            encoding = self.encoding(index)
-            if encoding is not None:
-                tokens = [_value_token(value) for value in encoding.dictionary]
-                for code in encoding.codes:
-                    digest.update(tokens[code])
-            else:
-                for value in column:
-                    digest.update(_value_token(value))
+            tokens = [_value_token(value) for value in column.dictionary]
+            for code in column.codes:
+                digest.update(tokens[code])
             hashers.append(digest)
         self._hashers = hashers
         return hashers
@@ -331,10 +356,11 @@ class Relation:
     def append_rows(self, rows: Iterable[Sequence[Value]]) -> int:
         """Append a batch of rows in place; returns the number appended.
 
-        Works on both storage substrates: object-tuple columns are
-        extended by concatenation, dictionary-encoded columns grow their
-        code arrays (and dictionaries) in place — including the mmap
-        spill files of out-of-core columns.  The cached v2 fingerprint is
+        Columns grow their code arrays (and dictionaries) in place —
+        including the mmap spill files of out-of-core columns.  A batch
+        value that compares equal to a different kept value (``1`` vs
+        ``1.0``) raises :class:`SchemaError` before anything changes.
+        The cached v2 fingerprint is
         *advanced* by streaming only the batch's value tokens through the
         retained per-column hashers, so appending is O(batch), and the
         resulting fingerprint is byte-identical to hashing the combined
@@ -355,24 +381,15 @@ class Relation:
                 )
         if not materialized:
             return 0
+        batch_columns = list(zip(*materialized))
+        for name, column, batch in zip(self._names, self._columns, batch_columns):
+            _reject_merged_values(name, batch, known=column)
         parent = self.fingerprint()
         hashers = self._ensure_hashers()
-        batch_columns = list(zip(*materialized))
-        columns = list(self._columns)
-        for index, batch in enumerate(batch_columns):
-            digest = hashers[index]
+        for column, batch, digest in zip(self._columns, batch_columns, hashers):
             for value in batch:
                 digest.update(_value_token(value))
-            column = columns[index]
-            if isinstance(column, EncodedColumn):
-                column.append_values(batch)
-            else:
-                columns[index] = column + batch
-                if self._encodings is not None:
-                    sidecar = self._encodings[index]
-                    if sidecar is not None:
-                        sidecar.append_values(batch)
-        self._columns = tuple(columns)
+            column.append_values(batch)
         self._n_rows += len(materialized)
         self._parent_fingerprint = parent
         self._fingerprint = _combine_column_digests(
@@ -382,17 +399,17 @@ class Relation:
 
     # -- transformations ---------------------------------------------------
 
+    # Derived relations copy their columns: ``append_rows`` grows columns
+    # in place, which must never show through a projection or prefix.
+
     def project(self, keys: Sequence[int | str], name: str | None = None) -> "Relation":
         """Return a new relation containing only the given columns."""
         indexes = [self.column_index(k) for k in keys]
-        projected = Relation(
+        return Relation(
             [self._names[i] for i in indexes],
-            [self._columns[i] for i in indexes],
+            [self._columns[i].copy() for i in indexes],
             name=name or self._name,
         )
-        if self._encodings is not None:
-            projected._encodings = tuple(self._encodings[i] for i in indexes)
-        return projected
 
     def head(self, n_rows: int, name: str | None = None) -> "Relation":
         """Return a new relation containing only the first ``n_rows`` rows."""
@@ -400,7 +417,7 @@ class Relation:
             raise ValueError("n_rows must be non-negative")
         return Relation(
             self._names,
-            [col[:n_rows] for col in self._columns],
+            [col.head(n_rows) for col in self._columns],
             name=name or self._name,
         )
 
@@ -410,38 +427,36 @@ class Relation:
         The holistic algorithms assume a duplicate-free input; a relation
         with two identical rows has no UCC at all.
         """
-        seen: set[tuple[Value, ...]] = set()
+        seen: set[tuple[int, ...]] = set()
         keep: list[int] = []
-        # Rows are equal iff their per-column codes are equal (encoding is
-        # a per-column bijection), so fully-encoded relations deduplicate
-        # over int tuples — no value decoding or boxing.
-        encodings = [self.encoding(i) for i in range(self.n_columns)]
-        if self._columns and all(e is not None for e in encodings):
-            rows: Iterable[tuple[Value, ...]] = zip(
-                *(e.codes for e in encodings)
-            )
-        else:
-            rows = self.iter_rows()
-        for index, row in enumerate(rows):
+        for index, row in enumerate(self._code_rows()):
             if row not in seen:
                 seen.add(row)
                 keep.append(index)
         if len(keep) == self._n_rows:
             return self
+        # The row where a value first occurs duplicates no earlier row
+        # (none holds that value), so it is kept: the kept codes stay
+        # first-seen ordered over the unchanged dictionaries.
         return Relation(
             self._names,
-            [[col[i] for i in keep] for col in self._columns],
+            [col.take(keep) for col in self._columns],
             name=name or self._name,
         )
 
     def has_duplicate_rows(self) -> bool:
         """True iff at least two rows are identical."""
-        seen: set[tuple[Value, ...]] = set()
-        for row in self.iter_rows():
+        seen: set[tuple[int, ...]] = set()
+        for row in self._code_rows():
             if row in seen:
                 return True
             seen.add(row)
         return False
+
+    def _code_rows(self) -> Iterator[tuple[int, ...]]:
+        """Rows as code tuples: rows are equal iff their codes are
+        (encoding is a per-column bijection), so no value decoding."""
+        return zip(*(col.codes for col in self._columns))
 
     # -- dunder ------------------------------------------------------------
 

@@ -619,7 +619,7 @@ DEFAULT_SCHEMA: dict[str, Any] = {
             "events": ["watchdog.kill"],
         },
         "storage": {
-            "spans": ["storage.encode"],
+            "spans": [],
             "counters": [
                 "storage.encoded_columns",
                 "storage.dictionary_entries",

@@ -191,12 +191,12 @@ class TestCounterAccounting:
         assert snapshot["delta_reclustered_rows"] > 0
 
     def test_merge_column_advances_delta_in_place(self):
-        values = ("a", "b", "a")
-        delta = ColumnDelta.from_values(values)
-        pli = PliStore().index_for(
-            Relation.from_rows(["A"], [(v,) for v in values])
-        ).column_pli(0)
-        codes = delta.encode_batch(["b", "c"])
+        relation = Relation.from_rows(["A"], [("a",), ("b",), ("a",)])
+        encoding = relation.encoding(0)
+        delta = ColumnDelta.from_codes(encoding.codes, encoding.n_codes)
+        pli = PliStore().index_for(relation).column_pli(0)
+        codes = encoding.append_values(["b", "c"])
+        assert codes == [1, 2]
         merged, perturbed, partners, colliders = merge_column(
             pli, delta, codes, 3, 5
         )
@@ -205,9 +205,10 @@ class TestCounterAccounting:
         assert partners == {1}
         # "b" was an old singleton at row 1; "c" is batch-born and has no
         # collider pool.
-        assert colliders == {codes[0]: (1,)}
-        # The delta now knows "c": re-encoding it is stable.
-        assert delta.encode_batch(["c"]) == codes[1:]
+        assert colliders == {1: (1,)}
+        # The delta now counts every row, "c" included.
+        assert delta.counts == [2, 2, 1]
+        assert delta.first_rows == [0, 1, 4]
 
 
 class TestFaultContainmentAtAppend:

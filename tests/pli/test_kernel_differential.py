@@ -8,12 +8,13 @@ workload generators in :mod:`repro.datasets.generators`:
    :func:`repro.pli.legacy_intersect`), and ``refines`` agrees with the
    Lemma-1 cardinality formulation on the same inputs — on *every*
    available kernel backend (python, and numpy when installed) under
-   *every* column-storage mode (objects / encoded / mmap);
+   both column-storage modes (encoded / mmap);
 2. TANE, FUN, and MUDS produce identical minimal FDs when all driven
    through one shared :class:`~repro.pli.PliStore`;
 3. the kernel backends and the storage modes are interchangeable:
    identical clusters, identical discovered metadata, and identical
-   kernel counters modulo the backend name itself.
+   kernel counters modulo the backend name itself — and the code-built
+   substrate equals a plain value grouping of the decoded columns.
 """
 
 import itertools
@@ -31,8 +32,11 @@ from repro.pli import (
     available_backends,
     legacy_intersect,
     numpy_available,
+    pli_from_column,
     use_backend,
+    value_vector,
 )
+from repro.pli import backend as _backend
 from repro.relation.encoded import STORAGE_MODES, use_storage
 
 # ~200 randomized relations: 3 generators x seeds x sizes.  Small rows keep
@@ -54,7 +58,7 @@ def _build(name, factory, rows, cols, seed):
     return factory(rows, n_columns=cols, seed=seed)
 
 
-@pytest.mark.parametrize("storage_mode", STORAGE_MODES)
+@pytest.mark.parametrize("source", (*STORAGE_MODES, "values"))
 @pytest.mark.parametrize("backend_name", available_backends())
 @pytest.mark.parametrize(
     "name, factory, rows, cols, seed",
@@ -62,13 +66,28 @@ def _build(name, factory, rows, cols, seed):
     ids=[f"{c[0]}-{c[2]}x{c[3]}-s{c[4]}" for c in _CASES],
 )
 def test_new_kernel_matches_legacy_on_generated_relations(
-    name, factory, rows, cols, seed, backend_name, storage_mode
+    name, factory, rows, cols, seed, backend_name, source
 ):
-    relation = _build(name, factory, rows, cols, seed)
-    with use_backend(backend_name), use_storage(storage_mode):
-        index = RelationIndex(relation)
-        plis = [index.column_pli(c) for c in range(relation.n_columns)]
-        vectors = [index.vector(c) for c in range(relation.n_columns)]
+    """``source`` is where the single-column PLIs and vectors come from:
+    an index over codes in either storage mode, or ``values`` — a plain
+    grouping of the decoded values, with no array state seeded."""
+    with use_backend(backend_name), use_storage(
+        None if source == "values" else source
+    ):
+        relation = _build(name, factory, rows, cols, seed)
+        if source == "values":
+            columns = [
+                tuple(relation.column(c)) for c in range(relation.n_columns)
+            ]
+            plis = [pli_from_column(values) for values in columns]
+            vectors = [
+                _backend.ACTIVE.as_vector(value_vector(values))
+                for values in columns
+            ]
+        else:
+            index = RelationIndex(relation)
+            plis = [index.column_pli(c) for c in range(relation.n_columns)]
+            vectors = [index.vector(c) for c in range(relation.n_columns)]
 
         for left, right in itertools.combinations(range(relation.n_columns), 2):
             via_probe = plis[left].intersect(plis[right])
@@ -115,10 +134,12 @@ def test_fd_signatures_agree_on_ncvoter_geometry():
 # -- backend / storage interchangeability -----------------------------------
 
 
-def _profile_on_backend(backend_name, relation, seed, storage_mode=None):
-    """One full MUDS + TANE + FUN pass on a fresh substrate; returns the
+def _profile_on_backend(backend_name, build, seed, storage_mode=None):
+    """One full MUDS + TANE + FUN pass on a fresh substrate over the
+    relation ``build()`` makes under ``storage_mode``; returns the
     discovered metadata, the composite clusters, and the kernel deltas."""
     with use_backend(backend_name), use_storage(storage_mode):
+        relation = build()
         before = KERNEL_STATS.snapshot()
         store = PliStore()
         index = store.index_for(relation)
@@ -175,9 +196,11 @@ def test_backends_are_interchangeable(factory, rows, cols, seed, storage_mode):
     clusters (the canonical form is the identity), identical discovered
     metadata, and identical kernel counters modulo the backend name (the
     accounting parity documented on each backend method)."""
-    relation = factory(rows, n_columns=cols, seed=seed)
-    python = _profile_on_backend("python", relation, seed, storage_mode)
-    numpy = _profile_on_backend("numpy", relation, seed, storage_mode)
+    def build():
+        return factory(rows, n_columns=cols, seed=seed)
+
+    python = _profile_on_backend("python", build, seed, storage_mode)
+    numpy = _profile_on_backend("numpy", build, seed, storage_mode)
     assert python["clusters"] == numpy["clusters"]
     assert python["pair_clusters"] == numpy["pair_clusters"]
     for key in ("tane_fds", "fun_fds", "muds_fds", "uccs", "inds"):
@@ -190,30 +213,38 @@ def test_backends_are_interchangeable(factory, rows, cols, seed, storage_mode):
     "factory, rows, cols, seed", _INTERCHANGE_CASES, ids=_INTERCHANGE_IDS
 )
 def test_storage_modes_are_interchangeable(factory, rows, cols, seed, backend_name):
-    """The columnar-storage contract: dictionary encoding is a bijective
-    re-labelling, so swapping objects / encoded / mmap storage changes
-    nothing observable — bit-identical clusters, metadata, and kernel
-    counters (not merely modulo a name: the *same* backend must count the
-    same work whichever storage fed it).
-
-    Each mode profiles a freshly generated relation (the generators are
-    seed-deterministic) because encodings attach to relations in place —
-    reusing one object would let the first mode's sidecar leak into the
-    ``objects`` baseline.
+    """The columnar-storage contract: where the codes live changes
+    nothing observable — ``encoded`` and ``mmap`` give bit-identical
+    clusters, metadata, and kernel counters (not merely modulo a name:
+    the *same* backend must count the same work whichever storage fed
+    it).  Each mode builds its own relation, since a relation's codes
+    live where the mode armed at construction put them.
     """
-    profiles = {
-        mode: _profile_on_backend(
-            backend_name, factory(rows, n_columns=cols, seed=seed), seed, mode
+
+    def build():
+        return factory(rows, n_columns=cols, seed=seed)
+
+    encoded, mmap = (
+        _profile_on_backend(backend_name, build, seed, mode)
+        for mode in ("encoded", "mmap")
+    )
+    assert mmap["clusters"] == encoded["clusters"]
+    assert mmap["pair_clusters"] == encoded["pair_clusters"]
+    for key in ("tane_fds", "fun_fds", "muds_fds", "uccs", "inds"):
+        assert mmap[key] == encoded[key], (
+            f"{key} diverged between encoded and mmap storage"
         )
-        for mode in STORAGE_MODES
-    }
-    baseline = profiles["objects"]
-    for mode in ("encoded", "mmap"):
-        candidate = profiles[mode]
-        assert candidate["clusters"] == baseline["clusters"], mode
-        assert candidate["pair_clusters"] == baseline["pair_clusters"], mode
-        for key in ("tane_fds", "fun_fds", "muds_fds", "uccs", "inds"):
-            assert candidate[key] == baseline[key], (
-                f"{key} diverged between objects and {mode} storage"
-            )
-        assert candidate["counters"] == baseline["counters"], mode
+    assert mmap["counters"] == encoded["counters"]
+
+    # The value-grouping reference: every single-column view the index
+    # derives from codes equals what grouping the decoded values gives.
+    for mode in STORAGE_MODES:
+        with use_backend(backend_name), use_storage(mode):
+            relation = build()
+            index = RelationIndex(relation)
+        assert relation.encoding(0).storage == mode
+        for column in range(relation.n_columns):
+            values = tuple(relation.column(column))
+            assert index.column_pli(column) == pli_from_column(values)
+            assert list(index.vector(column)) == value_vector(values)
+            assert index.distinct_values(column) == list(dict.fromkeys(values))

@@ -10,23 +10,22 @@ from array import array
 
 import pytest
 
+from repro.guard import ESTIMATED_BYTES_PER_CLUSTERED_ROW, Budget
 from repro.relation import Relation, read_csv, read_csv_text
 from repro.relation import encoded as storage
 from repro.relation.encoded import (
     CODE_BYTES,
     STORAGE_MODES,
     ColumnEncoder,
-    EncodedColumn,
     StorageUnavailable,
     encode_column,
     encode_relation,
-    estimated_bytes_per_clustered_row,
     resolve_storage,
     spill_directory,
     use_storage,
 )
 
-ENCODING_MODES = ("encoded", "mmap")
+ENCODING_MODES = STORAGE_MODES
 
 
 @pytest.fixture
@@ -84,10 +83,6 @@ class TestEncodeRoundTrip:
         assert len(column) == 0
         assert spill_files(spill_dir) == []
 
-    def test_objects_mode_has_no_encoder(self):
-        with pytest.raises(StorageUnavailable):
-            ColumnEncoder(storage="objects")
-
 
 class TestSpillLifecycle:
     def test_spill_file_lives_and_dies_with_the_column(self, spill_dir):
@@ -109,8 +104,12 @@ class TestSpillLifecycle:
             yield from range(storage.SPILL_CHUNK_CODES + 5)
             raise Boom
 
+        encoder = ColumnEncoder(storage="mmap")
         with pytest.raises(Boom):
-            encode_column(values(), storage="mmap")
+            for value in values():
+                encoder.add(value)
+        assert len(spill_files(spill_dir)) == 1  # half built
+        encoder.abort()
         assert spill_files(spill_dir) == []
 
     def test_pickle_rebuilds_as_in_memory_column(self, spill_dir):
@@ -159,9 +158,26 @@ class TestModeSelection:
             assert storage._from_environment() == "encoded"
 
     def test_budget_accounting_follows_storage(self):
-        assert estimated_bytes_per_clustered_row("objects") == 32
-        assert estimated_bytes_per_clustered_row("encoded") == 8
-        assert estimated_bytes_per_clustered_row("mmap") == 8
+        # Both modes feed the kernel the same dense codes, so one
+        # per-row estimate holds whichever is armed.
+        assert ESTIMATED_BYTES_PER_CLUSTERED_ROW == 8
+        for mode in STORAGE_MODES:
+            with use_storage(mode):
+                budget = Budget(max_cluster_bytes=1)
+            assert budget.bytes_per_clustered_row == 8
+
+    def test_objects_is_no_longer_a_mode(self, monkeypatch, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(StorageUnavailable):
+            resolve_storage("objects")
+        monkeypatch.setenv(storage.ENV_VAR, "objects")
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert storage._from_environment() == "encoded"
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["data.csv", "--storage", "objects"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 CSV = "a,b\n" + "".join(f"{i % 4},{i % 3}\n" for i in range(50))
@@ -203,21 +219,29 @@ class TestFingerprintStreaming:
 
 
 class TestEncodeRelation:
-    def test_objects_mode_is_a_noop(self):
-        with use_storage("objects"):
-            relation = read_csv_text(CSV)
-            assert relation.encoding(0) is None
-            encode_relation(relation)
-            assert relation.encoding(0) is None
+    def test_objects_mode_is_a_noop(self, spill_dir):
+        """``encode_relation`` attaches nothing: the relation is returned
+        as it was, with the encodings it was built with."""
+        for mode in STORAGE_MODES:
+            with use_storage(mode):
+                relation = read_csv_text(CSV)
+            before = [relation.encoding(i) for i in range(relation.n_columns)]
+            assert encode_relation(relation) is relation
+            assert encode_relation(relation, storage="encoded") is relation
+            after = [relation.encoding(i) for i in range(relation.n_columns)]
+            assert all(a is b for a, b in zip(before, after))
 
-    def test_sidecar_encoding_for_object_relations(self):
-        with use_storage("objects"):
-            relation = read_csv_text(CSV)
-        encode_relation(relation, storage="encoded")
-        for index in range(relation.n_columns):
-            encoding = relation.encoding(index)
-            assert encoding is not None
-            assert tuple(encoding) == relation.column(index)
+    def test_sidecar_encoding_for_object_relations(self, spill_dir):
+        """A relation built from Python object columns is encoded at
+        construction, in the storage mode armed at the time."""
+        for mode in STORAGE_MODES:
+            with use_storage(mode):
+                built = Relation(["a", "b"], [("x", "y", "x"), (1, None, 1)])
+            for index in range(built.n_columns):
+                encoding = built.encoding(index)
+                assert encoding is not None
+                assert encoding.storage == mode
+                assert tuple(encoding) == built.column(index)
 
     def test_projection_carries_encodings(self):
         with use_storage("encoded"):
@@ -225,6 +249,47 @@ class TestEncodeRelation:
         projected = relation.project([1, 0])
         assert projected.encoding(0) is not None
         assert tuple(projected.encoding(0)) == relation.column(1)
+
+    @pytest.mark.parametrize("mode", STORAGE_MODES)
+    def test_derived_relations_do_not_share_appended_columns(
+        self, mode, spill_dir
+    ):
+        """Regression: a projection used to alias its source's columns,
+        so appending to the source grew the projection's columns past its
+        row count (and put out-of-range row ids in its PLIs)."""
+        from repro.pli import RelationIndex, pli_from_column
+
+        with use_storage(mode):
+            source = read_csv_text("a,b\n1,x\n2,y\n3,x\n1,x\n")
+            derived = [
+                source.project(["a"]),
+                source.head(3),
+                source.deduplicated(),
+            ]
+            source.append_rows([("4", "z"), ("1", "q")])
+        assert [relation.n_rows for relation in derived] == [4, 3, 3]
+        for relation in derived:
+            for index in range(relation.n_columns):
+                column = relation.column(index)
+                assert len(column) == relation.n_rows
+                assert len(column.dictionary) == len(set(column))
+                assert RelationIndex(relation).column_pli(index) == (
+                    pli_from_column(tuple(column))
+                )
+        assert derived[0].column(0) == ("1", "2", "3", "1")
+        assert source.column(0) == ("1", "2", "3", "1", "4", "1")
+
+    @pytest.mark.parametrize("mode", STORAGE_MODES)
+    def test_head_and_dedup_keep_first_seen_codes(self, mode, spill_dir):
+        with use_storage(mode):
+            source = read_csv_text("a,b\nx,1\ny,2\nx,1\nz,2\n")
+            head = source.head(2)
+            dedup = source.deduplicated()
+        assert head.encoding(0).dictionary == ["x", "y"]
+        assert list(head.encoding(0).codes) == [0, 1]
+        assert dedup.column(0) == ("x", "y", "z")
+        assert list(dedup.encoding(1).codes) == [0, 1, 1]
+        assert dedup.encoding(0).storage == source.encoding(0).storage
 
 
 class TestBoundedMemory:

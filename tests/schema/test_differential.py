@@ -1,8 +1,8 @@
 """Schema differential suite: ~50 random seeds, one catalog identity.
 
 The schema job promises one catalog regardless of execution strategy:
-serial vs. process pool, sampling-refutation on vs. off, encoded vs.
-boxed-object storage.  Every seed writes a fresh random schema to disk,
+serial vs. process pool, sampling-refutation on vs. off, in-memory vs.
+memory-mapped code storage.  Every seed writes a fresh random schema to disk,
 profiles it on the reference configuration, and asserts the canonical
 catalog form (:func:`~repro.metadata.serialize.canonical_catalog_dumps`
 — metadata, fingerprints, dedup structure, cross INDs, FK scores, and
@@ -35,9 +35,9 @@ def test_catalog_identity_across_configurations(seed, tmp_path):
     exact = profile_schema(root, seed=0, sampling=False)
     assert canonical_catalog_dumps(exact) == canon
 
-    with _storage.use_storage("objects"):
-        boxed = profile_schema(root, seed=0)
-    assert canonical_catalog_dumps(boxed) == canon
+    with _storage.use_storage("mmap"):
+        spilled = profile_schema(root, seed=0)
+    assert canonical_catalog_dumps(spilled) == canon
 
     if seed % 7 == 0:  # pool spawns are the expensive variant
         pooled = profile_schema(root, seed=0, jobs=2)
