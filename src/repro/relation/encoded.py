@@ -17,12 +17,13 @@ no per-value hashing or boxing at all
 the NumPy backend's argsort grouping, which consumes the code buffer
 zero-copy via ``np.frombuffer``).
 
-Encoding happens when a relation is built: ``read_csv`` streams values
-straight into a :class:`ColumnEncoder` per column, and ``Relation``
-encodes any plain sequence it is handed.  Two **storage modes** decide
-where the code arrays live, selected process-globally like the PLI
-kernel backend (``--storage`` / ``$REPRO_STORAGE`` /
-:func:`set_storage` / :func:`use_storage`):
+Encoding happens when a relation is built: ``read_csv`` encodes a
+block of rows per column at a time and hands the codes to a
+:class:`ColumnEncoder` per column, and ``Relation`` encodes any plain
+sequence it is handed.  Two **storage modes** decide where the code
+arrays live, selected process-globally like the PLI kernel backend
+(``--storage`` / ``$REPRO_STORAGE`` / :func:`set_storage` /
+:func:`use_storage`):
 
 * ``encoded`` — the default: code arrays live in ``array('i')`` buffers
   (stdlib only, the zero-dependency promise).
@@ -55,6 +56,7 @@ import tempfile
 import weakref
 from array import array
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Iterator, Sequence
 
 from .. import trace as _trace
@@ -304,17 +306,12 @@ class EncodedColumn:
         them through the PLI layer's append path.
         """
         positions = self.positions()
-        dictionary = self.dictionary
-        codes: list[int] = []
-        for value in values:
-            code = positions.get(value)
-            if code is None:
-                code = len(positions)
-                positions[value] = code
-                dictionary.append(value)
-            codes.append(code)
+        known = len(positions)
+        codes = [positions.setdefault(value, len(positions)) for value in values]
         if not codes:
             return codes
+        if len(positions) > known:
+            self.dictionary.extend(_newest_keys(positions, len(positions) - known))
         batch = array("i", codes)
         if self.storage == "mmap":
             self._append_spill(batch)
@@ -444,35 +441,32 @@ def _release_spill(mapped: "mmap.mmap | None", path: str) -> None:
 
 
 class ColumnEncoder:
-    """Streaming builder of one :class:`EncodedColumn`.
+    """Streaming builder of one :class:`EncodedColumn` from code batches.
 
-    Values arrive one at a time (:meth:`add`), each is mapped to its
-    dictionary code, and the code lands in a bounded chunk buffer.  In
-    ``mmap`` mode a full buffer is spilled to the column's temp file (a
-    retry-absorbed, fault-injectable write), so the resident build cost
-    never scales with the row count.
+    The caller assigns the codes (first-seen order over a dictionary it
+    keeps, as ``read_csv`` does one block of rows at a time) and hands
+    each batch to :meth:`extend_codes`; :meth:`finish` seals the codes
+    over the final dictionary.  In ``mmap`` mode codes collect in a
+    bounded chunk buffer that is spilled to the column's temp file (a
+    retry-absorbed, fault-injectable write) whenever it reaches
+    :data:`SPILL_CHUNK_CODES`, so the resident build cost never scales
+    with the row count.
     """
 
     __slots__ = (
         "storage",
         "_codes",
         "_chunk",
-        "_dictionary",
-        "_positions",
         "_spill_dir",
         "_path",
         "_handle",
-        "_spilled",
     )
 
     def __init__(self, storage: str | None = None, spill_dir: str | None = None):
         self.storage = resolve_storage(storage) if storage is not None else ACTIVE
-        self._dictionary: list[Any] = []
-        self._positions: dict[Any, int] = {}
         self._spill_dir = spill_dir
         self._path: str | None = None
         self._handle: io.BufferedWriter | None = None
-        self._spilled = 0
         if self.storage == "mmap":
             self._codes = None
             self._chunk = array("i")
@@ -480,31 +474,17 @@ class ColumnEncoder:
             self._codes = array("i")
             self._chunk = None
 
-    def add(self, value: Any) -> int:
-        """Encode one value; returns its dictionary code."""
-        positions = self._positions
-        code = positions.get(value)
-        if code is None:
-            code = len(positions)
-            positions[value] = code
-            self._dictionary.append(value)
-        if self._chunk is not None:
-            self._chunk.append(code)
-            if len(self._chunk) >= SPILL_CHUNK_CODES:
-                self._flush()
-        else:
-            self._codes.append(code)
-        return code
-
-    def extend_codes(self, codes: Sequence[int]) -> None:
-        """Append codes that are already assigned against this encoder's
-        dictionary (see :func:`_column_from_codes`)."""
-        if self._chunk is None:
+    def extend_codes(self, codes: "array | memoryview") -> None:
+        """Append a batch of int32 codes (an ``array('i')`` or a view of
+        one).  ``mmap`` mode spills each time the chunk buffer fills."""
+        chunk = self._chunk
+        if chunk is None:
             self._codes.extend(codes)
             return
         for start in range(0, len(codes), SPILL_CHUNK_CODES):
-            self._chunk.extend(codes[start : start + SPILL_CHUNK_CODES])
-            self._flush()
+            chunk.extend(codes[start : start + SPILL_CHUNK_CODES])
+            if len(chunk) >= SPILL_CHUNK_CODES:
+                self._flush()
 
     # -- spill path --------------------------------------------------------
 
@@ -527,7 +507,9 @@ class ColumnEncoder:
             return
         if self._handle is None:
             self._open_spill()
-        payload = self._chunk.tobytes()
+        # Written straight from the chunk buffer: a ``tobytes()`` copy
+        # would double the resident chunk cost at every flush.
+        payload = self._chunk
 
         def write() -> None:
             if FAULTS.armed:
@@ -539,19 +521,19 @@ class ColumnEncoder:
         from ..harness.retry import RetryPolicy
 
         RetryPolicy().call(write, key=f"storage.spill:{self._path}")
-        self._spilled += len(payload)
-        _trace.count("storage.spilled_bytes", len(payload))
+        _trace.count("storage.spilled_bytes", len(payload) * CODE_BYTES)
         del self._chunk[:]
 
-    def finish(self) -> EncodedColumn:
-        """Seal the column and return its :class:`EncodedColumn`."""
+    def finish(self, dictionary: list[Any]) -> EncodedColumn:
+        """Seal the codes over ``dictionary`` (which the column then
+        owns) and return the :class:`EncodedColumn`."""
         if self.storage != "mmap":
-            return EncodedColumn(self._codes, self._dictionary, storage="encoded")
+            return EncodedColumn(self._codes, dictionary, storage="encoded")
         self._flush()
         if self._handle is None:
             # Zero rows: nothing was ever spilled; an empty mmap is
             # invalid, so degrade to an (empty) in-memory column.
-            return EncodedColumn(array("i"), self._dictionary, storage="encoded")
+            return EncodedColumn(array("i"), dictionary, storage="encoded")
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._handle.close()
@@ -561,7 +543,7 @@ class ColumnEncoder:
         codes = memoryview(mapped).cast("i")
         return EncodedColumn(
             codes,
-            self._dictionary,
+            dictionary,
             storage="mmap",
             spill_path=self._path,
             mapped=mapped,
@@ -580,6 +562,15 @@ class ColumnEncoder:
             except OSError:
                 pass
             self._path = None
+
+
+def _newest_keys(positions: dict[Any, int], count: int) -> list[Any]:
+    """The ``count`` most recently inserted keys of ``positions``, oldest
+    first: the values a batch added to a first-seen dictionary, found in
+    O(count) instead of a walk over the whole dictionary."""
+    keys = list(islice(reversed(positions), count))
+    keys.reverse()
+    return keys
 
 
 def encode_column(
@@ -610,10 +601,9 @@ def _column_from_codes(
     dictionary list, which the new column then owns.
     """
     encoder = ColumnEncoder(storage=storage, spill_dir=spill_dir)
-    encoder._dictionary = dictionary
     try:
         encoder.extend_codes(codes)
-        return encoder.finish()
+        return encoder.finish(dictionary)
     except BaseException:
         encoder.abort()
         raise

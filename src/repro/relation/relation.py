@@ -7,11 +7,11 @@ columns (to build position list indexes or sorted distinct-value lists), not
 whole rows.  Every column is an
 :class:`~repro.relation.encoded.EncodedColumn` — a first-seen dictionary
 plus one integer code per row — built when the relation is: ``read_csv``
-streams into encoders, and the constructor encodes any plain sequence in
-the armed storage mode.  Encoding merges values that compare equal, so a
-column may not hold two values that are equal under ``==`` but fingerprint
-differently (``1``/``1.0``/``True``, ``0.0``/``-0.0``); such a column is a
-:class:`SchemaError`.
+encodes blocks of rows column by column, and the constructor encodes any
+plain sequence in the armed storage mode.  Encoding merges values that
+compare equal, so a column may not hold two values that are equal under
+``==`` but fingerprint differently (``1``/``1.0``/``True``,
+``0.0``/``-0.0``); such a column is a :class:`SchemaError`.
 
 The paper assumes the input is duplicate-free (§3): a relation with two
 identical rows has no UCC at all and most inter-task pruning rules would not
@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 from .. import trace as _trace
-from .encoded import EncodedColumn, encode_column
+from .encoded import SPILL_CHUNK_CODES, EncodedColumn, encode_column
 
 Value = Any
 
@@ -53,6 +53,9 @@ def _value_token(value: Value) -> bytes:
     cannot recreate another value sequence's byte stream (no ambiguity
     between ``["a\\x00sb"]`` and ``["a", "b"]``).
     """
+    if type(value) is str:  # every CSV field: the fast path
+        payload = value.encode("utf-8", "surrogatepass")
+        return b"\x00s%d:%b" % (len(payload), payload)
     if value is None:
         return b"\x00n0:"
     for kind, tag in _VALUE_TAGS:
@@ -123,10 +126,10 @@ def _encode(name: str, values: Sequence[Value]) -> EncodedColumn:
 
 #: Domain separator of the fingerprint format.  v2 hashes each column
 #: into its own SHA-256 digest and combines the per-column digests — the
-#: shape that lets ``read_csv`` fold fingerprinting into its row-order
-#: streaming pass (one hasher per column) while the post-hoc path walks
-#: columns; both produce identical bytes per column, hence identical
-#: fingerprints.
+#: shape that lets ``read_csv`` fold fingerprinting into its read (one
+#: hasher per column, advanced a block of rows at a time) while the
+#: post-hoc path walks whole columns; both hash one token per cell in row
+#: order, hence identical bytes per column and identical fingerprints.
 _FINGERPRINT_DOMAIN = b"repro-relation-v2\x00"
 
 
@@ -136,6 +139,20 @@ def _column_hasher(name: str) -> "hashlib._Hash":
     encoded = name.encode("utf-8", "surrogatepass")
     digest.update(b"\x00c" + str(len(encoded)).encode() + b":" + encoded)
     return digest
+
+
+def _hash_codes(
+    digest: "hashlib._Hash", codes: Sequence[int], tokens: Sequence[bytes]
+) -> None:
+    """Advance a column digest by one token per code, in one ``update``.
+
+    ``tokens[code]`` is the :func:`_value_token` of dictionary entry
+    ``code`` (a list over the dictionary, or a dict over the codes at
+    hand), so each distinct value is tokenized once rather than once per
+    cell.  The bytes are those of tokenizing every cell in row order,
+    which is what keeps the v2 fingerprint unchanged.
+    """
+    digest.update(b"".join(map(tokens.__getitem__, codes)))
 
 
 def _combine_column_digests(
@@ -334,9 +351,9 @@ class Relation:
         """Per-column running digests matching the bytes hashed so far.
 
         Building them costs one pass over the codes — a token per
-        dictionary entry, streamed per row, which is the byte sequence of
-        tokenizing every cell.  Relations built by ``read_csv`` never pay
-        it because the reader donates its streaming hashers.  ``digest()``
+        dictionary entry, joined per chunk of codes, which is the byte
+        sequence of tokenizing every cell.  Relations built by
+        ``read_csv`` never pay it because the reader donates its streaming hashers.  ``digest()``
         does not consume a hasher, so :meth:`append_rows` advances them
         at O(batch).
         """
@@ -346,9 +363,10 @@ class Relation:
         hashers = []
         for name, column in zip(self._names, self._columns):
             digest = _column_hasher(name)
-            tokens = [_value_token(value) for value in column.dictionary]
-            for code in column.codes:
-                digest.update(tokens[code])
+            tokens = list(map(_value_token, column.dictionary))
+            codes = column.codes
+            for start in range(0, len(codes), SPILL_CHUNK_CODES):
+                _hash_codes(digest, codes[start : start + SPILL_CHUNK_CODES], tokens)
             hashers.append(digest)
         self._hashers = hashers
         return hashers
@@ -361,8 +379,9 @@ class Relation:
         value that compares equal to a different kept value (``1`` vs
         ``1.0``) raises :class:`SchemaError` before anything changes.
         The cached v2 fingerprint is
-        *advanced* by streaming only the batch's value tokens through the
-        retained per-column hashers, so appending is O(batch), and the
+        *advanced* by hashing only the batch — one token per distinct
+        batch value, joined in row order — through the retained
+        per-column hashers, so appending is O(batch), and the
         resulting fingerprint is byte-identical to hashing the combined
         relation from scratch.  The pre-append fingerprint is kept as
         :attr:`parent_fingerprint`.
@@ -381,15 +400,20 @@ class Relation:
                 )
         if not materialized:
             return 0
-        batch_columns = list(zip(*materialized))
-        for name, column, batch in zip(self._names, self._columns, batch_columns):
-            _reject_merged_values(name, batch, known=column)
-        parent = self.fingerprint()
-        hashers = self._ensure_hashers()
-        for column, batch, digest in zip(self._columns, batch_columns, hashers):
-            for value in batch:
-                digest.update(_value_token(value))
-            column.append_values(batch)
+        storage = self._columns[0].storage if self._columns else "encoded"
+        with _trace.span(
+            "storage.read", rows=len(materialized), columns=width, storage=storage
+        ):
+            batch_columns = list(zip(*materialized))
+            for name, column, batch in zip(self._names, self._columns, batch_columns):
+                _reject_merged_values(name, batch, known=column)
+            parent = self.fingerprint()
+            hashers = self._ensure_hashers()
+            for column, batch, digest in zip(self._columns, batch_columns, hashers):
+                codes = column.append_values(batch)
+                dictionary = column.dictionary
+                tokens = {code: _value_token(dictionary[code]) for code in set(codes)}
+                _hash_codes(digest, codes, tokens)
         self._n_rows += len(materialized)
         self._parent_fingerprint = parent
         self._fingerprint = _combine_column_digests(

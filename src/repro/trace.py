@@ -619,7 +619,7 @@ DEFAULT_SCHEMA: dict[str, Any] = {
             "events": ["watchdog.kill"],
         },
         "storage": {
-            "spans": [],
+            "spans": ["storage.read"],
             "counters": [
                 "storage.encoded_columns",
                 "storage.dictionary_entries",

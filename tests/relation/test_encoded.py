@@ -99,15 +99,15 @@ class TestSpillLifecycle:
         class Boom(RuntimeError):
             pass
 
-        def values():
-            # Enough to force at least one chunk flush, then explode.
-            yield from range(storage.SPILL_CHUNK_CODES + 5)
+        def batches():
+            # Enough codes to force at least one chunk flush, then explode.
+            yield array("i", range(storage.SPILL_CHUNK_CODES + 5))
             raise Boom
 
         encoder = ColumnEncoder(storage="mmap")
         with pytest.raises(Boom):
-            for value in values():
-                encoder.add(value)
+            for codes in batches():
+                encoder.extend_codes(codes)
         assert len(spill_files(spill_dir)) == 1  # half built
         encoder.abort()
         assert spill_files(spill_dir) == []
