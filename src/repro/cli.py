@@ -258,7 +258,7 @@ def _load(args: argparse.Namespace) -> Relation:
     return relation
 
 
-def _print_text_report(result, stats_lines: list[str]) -> None:
+def _print_text_report(result, stats_lines: list[str], partial: bool) -> None:
     print(result.summary())
     print("\nunary inclusion dependencies:")
     for ind in result.inds:
@@ -269,7 +269,12 @@ def _print_text_report(result, stats_lines: list[str]) -> None:
     for ucc in result.uccs:
         print(f"  {ucc}")
     if not result.uccs:
-        print("  (none — the relation has duplicate rows?)")
+        reason = (
+            "none found before the budget ran out"
+            if partial
+            else f"none — {result.no_ucc_reason()}"
+        )
+        print(f"  ({reason})")
     print("\nminimal functional dependencies:")
     for fd in result.fds:
         print(f"  {fd}")
@@ -934,6 +939,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
 
     exit_code = 0
+    partial = False
     if result is None:
         try:
             with graceful_shutdown(), guarded(budget), active_session(session):
@@ -988,6 +994,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     file=sys.stderr,
                 )
             exit_code = 3
+            partial = True
         except Interrupted as error:
             # Graceful shutdown: the journal/checkpoint finally blocks
             # already flushed; report, keep the snapshot, exit distinctly.
@@ -1056,7 +1063,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for line in stats_lines:
             print(line)
     else:
-        _print_text_report(result, stats_lines)
+        _print_text_report(result, stats_lines, partial)
 
     if tracer is not None and trace_path is not None:
         try:

@@ -81,7 +81,11 @@ def render_profile_report(
     lines += ["", "## Key candidates (minimal UCCs)", ""]
     lines += _listing(
         [str(ucc) for ucc in sorted(result.uccs, key=len)], max_listed,
-        empty="(none — the relation contains duplicate rows)",
+        empty=(
+            "(none found before the run stopped)"
+            if execution is not None and not execution.ok
+            else f"(none — {result.no_ucc_reason()})"
+        ),
     )
 
     lines += ["", "## Functional dependencies (minimal)", ""]

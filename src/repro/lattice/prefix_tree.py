@@ -1,4 +1,4 @@
-"""Prefix tree over column combinations (§5.4, Fig. 5).
+"""Set of column combinations with subset/superset lookups (§5.4, Fig. 5).
 
 MUDS performs two kinds of lookups against the set of minimal UCCs, both of
 which degrade to linear scans with a plain list:
@@ -8,207 +8,170 @@ which degrade to linear scans with a plain list:
 * **superset lookup** — all stored combinations that are supersets of a
   given *connector* (the connector lookup of §5.1, Table 2).
 
-Following the paper, combinations are stored as ascending column-index
-paths in a trie; a combination ends at a terminal node.  Lookups prune
-whole sub-trees by comparing the next tree column against the probe set.
+The generic border search (:mod:`repro.lattice.search`) asks the same two
+questions of its antichains tens of thousands of times per walk, mostly in
+their early-exit forms.
+
+The paper stores combinations as ascending column paths in a trie.  This
+implementation deliberately diverges to DUCC's *pruning graph* view
+(Bläsius, Friedrich and Schirneck): a containment query is a set test,
+not a traversal.  Every stored combination occupies a *slot*, and each
+column keeps a Python-int bitmap of the slots whose combination contains
+it.  Then
+
+* the stored subsets of ``mask`` are the live slots minus the bitmaps of
+  every column outside ``mask``, and
+* the stored supersets of ``mask`` are the AND of the bitmaps of the
+  columns of ``mask``,
+
+each a handful of big-int operations instead of a recursive descent.
+Freed slots are reused (lowest first), so the bitmaps never grow past the
+peak number of live entries.  Iteration keeps the trie's pre-order,
+``sorted(masks, key=bits)``, which callers that feed it to seeded choices
+rely on.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable, Iterator
 
-from ..relation.columnset import bit, bits, iter_bits
+from ..relation.columnset import bits, iter_bits
 
 __all__ = ["PrefixTree"]
-
-
-class _Node:
-    __slots__ = ("children", "terminal")
-
-    def __init__(self) -> None:
-        self.children: dict[int, _Node] = {}
-        self.terminal = False
 
 
 class PrefixTree:
     """Set of column bitmasks with fast subset/superset retrieval."""
 
+    __slots__ = ("_masks", "_slot_of", "_free", "_live", "_columns")
+
     def __init__(self, masks: Iterable[int] = ()):
-        self._root = _Node()
-        self._size = 0
+        #: slot -> stored mask (0 marks a free slot).
+        self._masks: list[int] = []
+        #: stored mask -> its slot.
+        self._slot_of: dict[int, int] = {}
+        #: Free slots, a min-heap so reuse keeps the bitmaps short.
+        self._free: list[int] = []
+        #: Bitmap of the occupied slots.
+        self._live = 0
+        #: column -> bitmap of the slots whose mask contains the column.
+        self._columns: list[int] = []
         for mask in masks:
             self.add(mask)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._slot_of)
 
     def __iter__(self) -> Iterator[int]:
-        yield from self._iter_from(self._root, 0)
+        # The trie's pre-order: ascending column paths, prefixes first.
+        return iter(sorted(self._slot_of, key=bits))
 
-    def _iter_from(self, node: _Node, prefix: int) -> Iterator[int]:
-        if node.terminal:
-            yield prefix
-        for column in sorted(node.children):
-            yield from self._iter_from(node.children[column], prefix | bit(column))
+    def __contains__(self, mask: int) -> bool:
+        return mask in self._slot_of
 
     def add(self, mask: int) -> None:
         """Insert a column combination (idempotent)."""
         if mask == 0:
             raise ValueError("cannot store the empty column combination")
-        node = self._root
+        if mask in self._slot_of:
+            return
+        if self._free:
+            slot = heapq.heappop(self._free)
+            self._masks[slot] = mask
+        else:
+            slot = len(self._masks)
+            self._masks.append(mask)
+        self._slot_of[mask] = slot
+        flag = 1 << slot
+        self._live |= flag
+        columns = self._columns
+        missing = mask.bit_length() - len(columns)
+        if missing > 0:
+            columns.extend([0] * missing)
         for column in iter_bits(mask):
-            node = node.children.setdefault(column, _Node())
-        if not node.terminal:
-            node.terminal = True
-            self._size += 1
+            columns[column] |= flag
 
     def remove(self, mask: int) -> bool:
-        """Remove a combination; returns False if it was not stored.
-
-        Nodes left without terminals or children are pruned so lookups do
-        not wade through dead branches (the lattice search removes border
-        entries constantly as knowledge tightens).
-        """
-        path: list[tuple[_Node, int]] = []
-        node = self._root
-        for column in iter_bits(mask):
-            child = node.children.get(column)
-            if child is None:
-                return False
-            path.append((node, column))
-            node = child
-        if not node.terminal:
+        """Remove a combination; returns False if it was not stored."""
+        slot = self._slot_of.pop(mask, None)
+        if slot is None:
             return False
-        node.terminal = False
-        self._size -= 1
-        for parent, column in reversed(path):
-            child = parent.children[column]
-            if child.terminal or child.children:
-                break
-            del parent.children[column]
+        self._masks[slot] = 0
+        flag = 1 << slot
+        self._live ^= flag
+        columns = self._columns
+        for column in iter_bits(mask):
+            columns[column] ^= flag
+        heapq.heappush(self._free, slot)
         return True
 
-    def __contains__(self, mask: int) -> bool:
-        node = self._root
-        for column in iter_bits(mask):
-            child = node.children.get(column)
-            if child is None:
-                return False
-            node = child
-        return node.terminal
+    # -- slot bitmaps ------------------------------------------------------------
+
+    def _subset_slots(self, mask: int) -> int:
+        """Slots of the stored subsets of ``mask``: every live slot that
+        no column outside ``mask`` claims."""
+        found = self._live
+        columns = self._columns
+        outside = ((1 << len(columns)) - 1) & ~mask
+        while outside and found:
+            low = outside & -outside
+            found &= ~columns[low.bit_length() - 1]
+            outside ^= low
+        return found
+
+    def _superset_slots(self, mask: int) -> int:
+        """Slots of the stored supersets of ``mask``: the slots every
+        column of ``mask`` claims."""
+        columns = self._columns
+        if mask.bit_length() > len(columns):
+            return 0  # a column no stored mask contains
+        found = self._live
+        while mask and found:
+            low = mask & -mask
+            found &= columns[low.bit_length() - 1]
+            mask ^= low
+        return found
+
+    def _decode(self, slots: int) -> list[int]:
+        masks = self._masks
+        found: list[int] = []
+        while slots:
+            low = slots & -slots
+            found.append(masks[low.bit_length() - 1])
+            slots ^= low
+        return found
 
     # -- subset lookup ---------------------------------------------------------
 
     def subsets_of(self, mask: int) -> list[int]:
-        """All stored combinations that are subsets of ``mask``.
-
-        This is the §5.4 lookup: descend only along columns present in
-        ``mask``; every terminal reached on the way is a subset.
-        """
-        found: list[int] = []
-        self._subsets(self._root, bits(mask), 0, 0, found)
-        return found
-
-    def _subsets(
-        self,
-        node: _Node,
-        columns: tuple[int, ...],
-        start: int,
-        prefix: int,
-        found: list[int],
-    ) -> None:
-        if node.terminal:
-            found.append(prefix)
-        children = node.children
-        if not children:
-            return
-        for position in range(start, len(columns)):
-            column = columns[position]
-            child = children.get(column)
-            if child is not None:
-                self._subsets(child, columns, position + 1, prefix | bit(column), found)
+        """All stored combinations that are subsets of ``mask`` (in slot
+        order; callers treat the result as a set)."""
+        return self._decode(self._subset_slots(mask))
 
     def contains_subset_of(self, mask: int) -> bool:
         """True iff some stored combination is a subset of ``mask``.
 
-        Early-exit variant of :meth:`subsets_of`; the dominant check of the
-        shadowed-FD phase (a lhs containing a UCC cannot be minimal).
+        The dominant check of the shadowed-FD phase (a lhs containing a
+        UCC cannot be minimal) and of the border search's positive prune.
         """
-        return self._has_subset(self._root, bits(mask), 0)
-
-    def _has_subset(self, node: _Node, columns: tuple[int, ...], start: int) -> bool:
-        if node.terminal:
-            return True
-        children = node.children
-        if not children:
-            return False
-        for position in range(start, len(columns)):
-            child = children.get(columns[position])
-            if child is not None and self._has_subset(child, columns, position + 1):
-                return True
-        return False
+        return self._subset_slots(mask) != 0
 
     # -- superset lookup ---------------------------------------------------------
 
     def supersets_of(self, mask: int) -> list[int]:
-        """All stored combinations that are supersets of ``mask``.
-
-        This is the connector lookup of §5.1: a branch is viable only while
-        its next column does not skip past the smallest still-uncovered
-        probe column (tree paths ascend).
-        """
-        found: list[int] = []
-        self._supersets(self._root, bits(mask), 0, 0, found)
-        return found
-
-    def _supersets(
-        self,
-        node: _Node,
-        required: tuple[int, ...],
-        covered: int,
-        prefix: int,
-        found: list[int],
-    ) -> None:
-        if covered == len(required):
-            # Every remaining terminal below this node qualifies.
-            found.extend(self._iter_from(node, prefix))
-            return
-        need = required[covered]
-        for column, child in node.children.items():
-            if column > need:
-                continue  # would skip the required column for good
-            self._supersets(
-                child,
-                required,
-                covered + (1 if column == need else 0),
-                prefix | bit(column),
-                found,
-            )
+        """All stored combinations that are supersets of ``mask`` (the
+        connector lookup of §5.1; in slot order)."""
+        return self._decode(self._superset_slots(mask))
 
     def has_superset_of(self, mask: int) -> bool:
         """True iff some stored combination is a superset of ``mask``.
 
-        Early-exit variant of :meth:`supersets_of`; MUDS uses it for the
-        rule-1 filter (an FD whose lhs ∪ rhs fits inside one minimal UCC
-        cannot exist) and for key pruning.
+        MUDS uses it for the rule-1 filter (an FD whose lhs ∪ rhs fits
+        inside one minimal UCC cannot exist) and for key pruning; the
+        border search for its negative prune.
         """
-        return self._has_superset(self._root, bits(mask), 0)
-
-    def _has_superset(self, node: _Node, required: tuple[int, ...], covered: int) -> bool:
-        if covered == len(required):
-            return self._size > 0 and self._reaches_terminal(node)
-        need = required[covered]
-        for column, child in node.children.items():
-            if column > need:
-                continue
-            if self._has_superset(child, required, covered + (1 if column == need else 0)):
-                return True
-        return False
-
-    def _reaches_terminal(self, node: _Node) -> bool:
-        if node.terminal:
-            return True
-        return any(self._reaches_terminal(child) for child in node.children.values())
+        return self._superset_slots(mask) != 0
 
     def __repr__(self) -> str:
-        return f"PrefixTree({self._size} combinations)"
+        return f"PrefixTree({len(self)} combinations)"

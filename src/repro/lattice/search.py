@@ -16,10 +16,11 @@ border.  The traversal strategy is the one the paper describes:
   re-walk from any unresolved hole until both borders agree.
 
 The pruning knowledge lives in two antichains — minimal known positives
-and maximal known negatives — backed by prefix trees, DUCC's "pruning
-graph": a containment query costs a tree walk instead of a scan over the
-whole border, which is what keeps dense borders (thousands of entries)
-tractable.
+and maximal known negatives — DUCC's "pruning graph", each stored as
+per-column slot bitmaps (:class:`~repro.lattice.prefix_tree.PrefixTree`):
+a containment query costs a few big-int operations instead of a scan
+over the whole border, which is what keeps dense borders (thousands of
+entries) tractable.
 
 :class:`LatticeSearch` also accepts *prior knowledge* — positives and
 negatives known from other profiling tasks — which is exactly the
@@ -86,7 +87,7 @@ class LatticeSearch:
         # Antichains of knowledge (the pruning graph): minimal known
         # positives and maximal known negatives.  The empty set is negative
         # by convention — level 0 is outside every search space in the
-        # paper — and is kept implicit (prefix trees store non-empty sets).
+        # paper — and is kept implicit (the antichains store non-empty sets).
         self._pos = PrefixTree()
         self._neg = PrefixTree()
         for mask in known_positives:

@@ -106,6 +106,18 @@ class ProfilingResult:
             and fd_signature(self.fds) == fd_signature(other.fds)
         )
 
+    def no_ucc_reason(self) -> str:
+        """Why a complete profile lists no minimal UCC.
+
+        With at least one column the full column set is a UCC unless two
+        rows agree on every column, so only two causes remain: a relation
+        without columns, or duplicate rows (which survive only when
+        deduplication was turned off, e.g. ``--keep-duplicates``).
+        """
+        if not self.column_names:
+            return "the relation has no columns"
+        return "the relation has duplicate rows"
+
     def summary(self) -> str:
         """One-line count summary, the shape Fig. 7's secondary axis uses."""
         return (

@@ -132,10 +132,15 @@ class RelationIndex:
     def pli(self, mask: int) -> PLI:
         """PLI of an arbitrary non-empty column combination (memoized).
 
-        Composite PLIs are derived by chained intersection, peeling the
-        lowest column off the mask; every intermediate result lands in the
-        cache, which suits the subset-descending access patterns of DUCC
-        and MUDS.
+        A composite PLI is derived from its cheapest cached *direct*
+        subset: of the cached ``mask − {c}``, the one with the fewest
+        clustered rows (ties to the lowest ``c``) is intersected with
+        ``column_pli(c)``.  A lattice walk changes one column per step, so
+        some direct subset of the requested mask is usually cached; only
+        when none is does the derivation fall back to peeling the lowest
+        column off and recursing.  PLIs are canonical, so the path never
+        changes the result, only how many intersections it costs.  Every
+        derived PLI lands in the cache.
         """
         if mask == 0:
             raise ValueError("the empty column combination has no PLI")
@@ -162,9 +167,22 @@ class RelationIndex:
                 return merged
             # The old-singleton scan would have approached a full pass:
             # fall through to the chained-intersection rebuild.
-        low = lowest_bit(mask)
-        rest = mask & ~bit(low)
-        pli = self.pli(rest).intersect(self.column_pli(low))
+        peek = self.cache.peek
+        base: PLI | None = None
+        for column in iter_bits(mask):
+            subset = peek(mask ^ bit(column))
+            if subset is not None and (
+                base is None or subset.n_clustered_rows < base.n_clustered_rows
+            ):
+                base, low = subset, column
+        if base is None:
+            low = lowest_bit(mask)
+            base = self.pli(mask ^ bit(low))
+        else:
+            # Count the reuse (and refresh its LRU position) like any
+            # other lookup of a cached PLI.
+            self.cache.get(mask ^ bit(low))
+        pli = base.intersect(self.column_pli(low))
         self.intersections += 1
         self.cache.put(mask, pli)
         return pli

@@ -45,6 +45,7 @@ Metanome default for FD/UCC discovery.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from time import perf_counter
 from typing import Any
 
 from .. import guard as _guard
@@ -177,7 +178,7 @@ class PLI:
     distinct rows is stripped like any singleton).
     """
 
-    __slots__ = ("clusters", "n_rows", "_probe", "_np")
+    __slots__ = ("clusters", "n_rows", "_probe", "_np", "_clustered")
 
     def __init__(self, clusters: Sequence[Sequence[int]], n_rows: int):
         normalized = []
@@ -205,6 +206,7 @@ class PLI:
         self.n_rows = n_rows
         self._probe: list[int] | None = None
         self._np: Any = None
+        self._clustered: int | None = None
 
     @classmethod
     def _from_canonical(
@@ -223,6 +225,7 @@ class PLI:
         pli.n_rows = n_rows
         pli._probe = None
         pli._np = None
+        pli._clustered = None
         return pli
 
     # -- derived measures --------------------------------------------------
@@ -234,8 +237,13 @@ class PLI:
 
     @property
     def n_clustered_rows(self) -> int:
-        """Total number of rows that appear in some cluster."""
-        return sum(len(cluster) for cluster in self.clusters)
+        """Total number of rows that appear in some cluster (memoized:
+        the intersection kernel and the derivation rule of
+        :meth:`repro.pli.index.RelationIndex.pli` both rank PLIs by it)."""
+        clustered = self._clustered
+        if clustered is None:
+            clustered = self._clustered = sum(map(len, self.clusters))
+        return clustered
 
     @property
     def error(self) -> int:
@@ -315,22 +323,26 @@ class PLI:
             else (other, self)
         )
         KERNEL_STATS.intersections += 1
+        tracer = _trace.ACTIVE
+        started = perf_counter() if tracer is not None else 0.0
         result, clustered_rows, np_state = _backend.ACTIVE.intersect(
             small, large, KERNEL_STATS
         )
         budget = _guard.ACTIVE
-        tracer = _trace.ACTIVE
         if tracer is not None:
             # Counters on the innermost open span (rolled up outward)
             # — no event objects, so tracing a lattice walk cannot
             # flood the buffer.  Counted before the budget charge so
             # the intersection that trips the budget is still traced.
+            # Kernel time covers the backend call only.
+            tracer.count("pli.intersect_seconds", perf_counter() - started)
             tracer.count("pli.intersections")
             tracer.count("pli.clustered_rows", clustered_rows)
         if budget is not None:
             budget.charge_intersection(clustered_rows)
         pli = PLI._from_canonical(result, self.n_rows)
         pli._np = np_state
+        pli._clustered = clustered_rows
         return pli
 
     def refines(self, vector: Sequence[int]) -> bool:
@@ -359,7 +371,11 @@ class PLI:
             )
         stats = KERNEL_STATS
         stats.refine_calls += 1
+        tracer = _trace.ACTIVE
+        started = perf_counter() if tracer is not None else 0.0
         holds, scanned = _backend.ACTIVE.refines(self, vector, stats)
+        if tracer is not None:
+            tracer.count("pli.refine_seconds", perf_counter() - started)
         stats.refine_cluster_scans += scanned
         return holds
 

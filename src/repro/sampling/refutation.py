@@ -15,9 +15,9 @@ Both answers are *sound*: sampled rows are relation rows, so a witness in
 the sample is a witness in the relation.  The converse does not hold — a
 candidate the sample cannot refute may still be invalid — which is why
 the planner forwards survivors to the exact PLI path.  Groupings are
-derived by peeling the lowest column off the mask (mirroring
-:meth:`repro.pli.index.RelationIndex.pli`), so subset-descending query
-patterns reuse each other's memoized prefixes.
+derived with :meth:`repro.pli.index.RelationIndex.pli`'s rule: refine the
+memoized direct-subset grouping with the fewest grouped positions, and
+peel the lowest column off only when no direct subset is memoized.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class RefutationIndex:
         sampled positions are copied out.
     """
 
-    __slots__ = ("rows", "n_columns", "_svectors", "_groups")
+    __slots__ = ("rows", "n_columns", "_svectors", "_groups", "_grouped")
 
     def __init__(self, rows: Sequence[int], vectors: Sequence[Sequence[int]]):
         self.rows: tuple[int, ...] = tuple(rows)
@@ -52,6 +52,8 @@ class RefutationIndex:
             [vector[row] for row in self.rows] for vector in vectors
         ]
         self._groups: dict[int, tuple[tuple[int, ...], ...]] = {}
+        #: Grouped positions per memoized mask (the derivation's cost key).
+        self._grouped: dict[int, int] = {}
 
     @property
     def n_rows(self) -> int:
@@ -70,8 +72,15 @@ class RefutationIndex:
         cached = self._groups.get(mask)
         if cached is not None:
             return cached
-        low = lowest_bit(mask)
-        rest = mask & ~bit(low)
+        grouped = self._grouped
+        cheapest: int | None = None
+        for column in iter_bits(mask):
+            size = grouped.get(mask ^ bit(column))
+            if size is not None and (cheapest is None or size < cheapest):
+                cheapest, low = size, column
+        if cheapest is None:
+            low = lowest_bit(mask)
+        rest = mask ^ bit(low)
         svector = self._svectors[low]
         if rest == 0:
             buckets: dict[int, list[int]] = {}
@@ -91,6 +100,7 @@ class RefutationIndex:
                         refined.append(tuple(sub))
             result = tuple(refined)
         self._groups[mask] = result
+        grouped[mask] = sum(map(len, result))
         return result
 
     def refutes_ucc(self, mask: int) -> bool:

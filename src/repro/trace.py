@@ -20,9 +20,11 @@ when disabled), so instrumented hot paths pay one global read and one
 must not build attribute dicts or f-strings before that check.
 
 Events are deterministic modulo timestamps: every wall-clock value lives
-under the ``"seconds"`` key, which :func:`structural` strips, and span
-ids can be rebased per captured slice (:class:`capture`), so the traces
-of a serial sweep and of a ``jobs=N`` sweep compare structurally equal.
+under the ``"seconds"`` key or in a counter whose name ends in
+``_seconds`` (the kernel-time counters), both of which :func:`structural`
+strips, and span ids can be rebased per captured slice
+(:class:`capture`), so the traces of a serial sweep and of a
+``jobs=N`` sweep compare structurally equal.
 
 Like :mod:`repro.guard`, this is a stdlib-only leaf module so the PLI
 kernel and the algorithms can hook in without importing the harness;
@@ -356,12 +358,17 @@ class capture:
         return False
 
 
+#: Counters whose name ends in this suffix hold wall-clock time.
+_TIMING_SUFFIX = "_seconds"
+
+
 def structural(events: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
     """Deep-copied events with every volatile field stripped.
 
-    Timings all live under the ``"seconds"`` key by convention, so
-    removing it (and normalizing through JSON, which also maps tuples to
-    lists exactly like a journal round-trip does) leaves the
+    Timings all live under the ``"seconds"`` key or in ``*_seconds``
+    counters by convention, so removing them (and normalizing through
+    JSON, which also maps tuples to lists exactly like a journal
+    round-trip does) leaves the
     deterministic skeleton: names, nesting, attributes, counters.  Two
     runs of the same work — serial vs. pooled, traced now vs. replayed
     from a journal — compare equal on this form.
@@ -370,6 +377,13 @@ def structural(events: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
     for record in events:
         record = json.loads(json.dumps(record, sort_keys=True, default=str))
         record.pop("seconds", None)
+        counters = record.get("counters")
+        if counters:
+            record["counters"] = {
+                name: value
+                for name, value in counters.items()
+                if not name.endswith(_TIMING_SUFFIX)
+            }
         stripped.append(record)
     return stripped
 
@@ -508,8 +522,9 @@ def summary_total_seconds(summary: Mapping[str, Mapping[str, Any]]) -> float:
 DEFAULT_SCHEMA: dict[str, Any] = {
     "description": (
         "repro structured trace, one JSON event object per line; every "
-        "wall-clock value lives under the 'seconds' key so consumers can "
-        "strip timings for structural comparison"
+        "wall-clock value lives under the 'seconds' key or in a counter "
+        "named '*_seconds' so consumers can strip timings for structural "
+        "comparison"
     ),
     "event_types": {
         "begin": {
@@ -557,6 +572,8 @@ DEFAULT_SCHEMA: dict[str, Any] = {
                 "pli.store_reuses",
                 "pli.delta_merges",
                 "pli.delta_reclustered_rows",
+                "pli.intersect_seconds",
+                "pli.refine_seconds",
             ],
             "events": [],
         },

@@ -1,10 +1,13 @@
 """End-to-end tests for MUDS: exactness, soundness, determinism."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import naive_fds, naive_inds, naive_uccs
 from repro.core.muds import Muds
+from repro.datasets import ionosphere_like
+from repro.pli import available_backends, use_backend
 from repro.relation import Relation
 
 from ..conftest import fds_as_pairs, inds_as_pairs, relations, uccs_as_masks
@@ -129,3 +132,25 @@ class TestReporting:
     def test_faithful_mode_has_no_completion_phase(self, employees):
         result = Muds(verify_completeness=False).profile(employees)
         assert "completion_walk" not in result.phase_seconds
+
+
+#: Check traffic of ``Muds(seed=0)`` on ``ionosphere_like(19, seed=3)``,
+#: recorded with the trie pruning graph and the lowest-column PLI peel.
+#: The walk must visit exactly the same nodes with the bitmap pruning
+#: graph and the cheapest-direct-subset derivation.
+WALK_COUNTERS = {
+    "fd_checks": 3213,
+    "ucc_checks": 65,
+    "sublattice_checks": 2077,
+    "check_cache_hits": 507,
+}
+#: PLI intersections the lowest-column peel paid on the same run.
+PEEL_INTERSECTIONS = 5601
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+def test_walk_paths_are_invariant_and_cheaper(backend_name):
+    with use_backend(backend_name):
+        counters = Muds(seed=0).profile(ionosphere_like(19, seed=3)).counters
+    assert {name: counters[name] for name in WALK_COUNTERS} == WALK_COUNTERS
+    assert counters["pli_intersections"] < PEEL_INTERSECTIONS

@@ -170,6 +170,9 @@ class TestCliBudget:
         assert code == 3
         assert "warning [TL]" in captured.err
         assert "partial" in captured.err
+        # No UCC was reached; the listing must not blame the data.
+        assert "(none found before the budget ran out)" in captured.out
+        assert "duplicate" not in captured.out
 
     def test_unbudgeted_cli_still_exits_0(self, tmp_path):
         from repro.cli import main

@@ -35,6 +35,34 @@ class TestRenderProfileReport:
         report = render_profile_report(rel, result)
         assert "duplicate rows" in report
 
+    def test_duplicate_rows_kept_explain_missing_uccs(self):
+        rel = Relation.from_rows(["A", "B"], [(1, 1), (1, 1), (2, 2)])
+        report = render_profile_report(rel, Muds().profile(rel))
+        assert "(none — the relation has duplicate rows)" in report
+
+    def test_truncated_run_does_not_explain_missing_uccs(self):
+        from repro.guard import Budget
+        from repro.harness import default_framework
+
+        # Duplicate-free: columns i mod 2..7 over i < 60 (mod 3, 4, 5
+        # together already form a key).
+        rel = Relation.from_rows(
+            list("ABCDEF"), [tuple(i % k for k in range(2, 8)) for i in range(60)]
+        )
+        execution = default_framework().run(
+            "muds", rel, budget=Budget(max_intersections=1)
+        )
+        assert execution.status == "timeout" and not execution.result.uccs
+        report = render_profile_report(rel, execution.result, execution=execution)
+        assert "(none found before the run stopped)" in report
+        assert "duplicate" not in report
+
+    def test_zero_columns_explain_missing_uccs(self):
+        rel = Relation.from_rows([], [])
+        report = render_profile_report(rel, Muds().profile(rel))
+        assert "(none — the relation has no columns)" in report
+        assert "duplicate" not in report
+
     def test_example_script_runs(self, capsys):
         import runpy
         import sys

@@ -144,6 +144,19 @@ def test_disabled_overhead_is_bounded():
     assert disabled <= enabled * 1.5
 
 
+def test_kernel_time_counters_cover_backend_calls():
+    left = pli_from_column([i % 7 for i in range(200)])
+    right = pli_from_column([i % 11 for i in range(200)])
+    tracer = trace.enable()
+    with tracer.span("kernel"):
+        joint = left.intersect(right)
+        joint.refines([i % 3 for i in range(200)])
+    counters = _ends(tracer.events, "kernel")[0]["counters"]
+    assert counters["pli.intersections"] == 1
+    assert counters["pli.intersect_seconds"] > 0
+    assert counters["pli.refine_seconds"] > 0
+
+
 # -- capture / rebase / structural ------------------------------------------
 
 
@@ -182,10 +195,13 @@ def test_rebase_maps_unknown_parent_to_none():
 def test_structural_strips_seconds_and_normalizes():
     tracer = trace.enable()
     with tracer.span("s", n=1):
-        pass
+        tracer.count("pli.intersections")
+        tracer.count("pli.intersect_seconds", 0.25)
     stripped = structural(tracer.events)
     assert all("seconds" not in e for e in stripped)
     assert stripped[0]["name"] == "s"
+    # Timing counters are wall-clock values too.
+    assert stripped[1]["counters"] == {"pli.intersections": 1}
     # Idempotent under a JSON round-trip (journal parity).
     assert structural(json.loads(json.dumps(stripped))) == stripped
 

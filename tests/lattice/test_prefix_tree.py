@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lattice import PrefixTree
-from repro.relation.columnset import is_subset
+from repro.relation.columnset import bits, is_subset
 
 mask_sets = st.sets(st.integers(1, (1 << 7) - 1), max_size=14)
 probes = st.integers(0, (1 << 7) - 1)
@@ -122,3 +122,67 @@ class TestSupersetLookup:
         assert sorted(tree.supersets_of(probe)) == sorted(
             m for m in remaining if is_subset(probe, m)
         )
+
+
+#: One step of a random antichain workload: ``(operation, mask)``.
+#: ``minimal`` / ``maximal`` insert the way the border search maintains
+#: its positive and negative antichains; ``probe`` only looks.
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "minimal", "maximal", "probe"]),
+        st.integers(1, (1 << 8) - 1),
+    ),
+    max_size=60,
+)
+
+
+class TestAgainstListModel:
+    """Random add/remove/lookup sequences against a naive list of masks."""
+
+    @staticmethod
+    def _check(tree: PrefixTree, model: list[int], probe: int) -> None:
+        subsets = [m for m in model if is_subset(m, probe)]
+        supersets = [m for m in model if is_subset(probe, m)]
+        assert set(tree.subsets_of(probe)) == set(subsets)
+        assert len(tree.subsets_of(probe)) == len(subsets)
+        assert set(tree.supersets_of(probe)) == set(supersets)
+        assert len(tree.supersets_of(probe)) == len(supersets)
+        assert tree.contains_subset_of(probe) == bool(subsets)
+        assert tree.has_superset_of(probe) == bool(supersets)
+
+    @given(steps, probes)
+    def test_lookups_order_and_slots_match_model(self, sequence, final_probe):
+        tree = PrefixTree()
+        model: list[int] = []
+        peak = 0
+        for operation, mask in sequence:
+            if operation == "add":
+                tree.add(mask)
+                if mask not in model:
+                    model.append(mask)
+            elif operation == "remove":
+                assert tree.remove(mask) == (mask in model)
+                if mask in model:
+                    model.remove(mask)
+            elif operation == "minimal":
+                if not any(is_subset(m, mask) for m in model):
+                    for dominated in tree.supersets_of(mask):
+                        tree.remove(dominated)
+                    model = [m for m in model if not is_subset(mask, m)]
+                    tree.add(mask)
+                    model.append(mask)
+            elif operation == "maximal":
+                if not any(is_subset(mask, m) for m in model):
+                    for dominated in tree.subsets_of(mask):
+                        tree.remove(dominated)
+                    model = [m for m in model if not is_subset(m, mask)]
+                    tree.add(mask)
+                    model.append(mask)
+            self._check(tree, model, mask)
+            peak = max(peak, len(model))
+            assert len(tree) == len(model)
+            assert list(tree) == sorted(model, key=bits)
+            assert all((m in tree) == (m in model) for m in range(1, 1 << 8, 7))
+            # Freed slots are reused: storage never outgrows the peak.
+            assert len(tree._masks) <= peak
+        self._check(tree, model, final_probe)

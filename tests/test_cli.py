@@ -97,6 +97,23 @@ class TestDuplicateHandling:
         out = capsys.readouterr().out
         assert "duplicate rows" in out  # the no-UCCs hint
 
+    def test_no_ucc_explained_by_kept_duplicates(self, tmp_path, capsys):
+        path = tmp_path / "dups.csv"
+        path.write_text("a,b\n1,2\n1,2\n", encoding="utf-8")
+        assert main([str(path), "--keep-duplicates", "--no-result-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "(none — the relation has duplicate rows)" in out
+        assert "?" not in out
+
+    def test_no_ucc_explained_by_missing_columns(self, tmp_path, capsys):
+        # A one-byte file: an empty header line, so zero columns.
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"\n")
+        assert main([str(path), "--no-result-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "(none — the relation has no columns)" in out
+        assert "duplicate" not in out
+
 
 class TestResultCacheFlags:
     def test_second_invocation_hits_the_cache(self, csv_path, capsys):
