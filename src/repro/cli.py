@@ -73,104 +73,26 @@ __all__ = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Holistic data profiling: discover unary INDs, minimal UCCs, "
-            "and minimal FDs of a relation in one pass (EDBT 2016 "
-            "reproduction)."
-        ),
-    )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("csv", nargs="?", help="path to a CSV file")
-    source.add_argument(
-        "--dataset",
-        help="profile a built-in dataset instead (e.g. bridges, iris)",
-    )
-    parser.add_argument(
+def _profile_flags() -> argparse.ArgumentParser:
+    """Flags of every profiling command (``repro``, ``profile-schema``,
+    ``watch``): algorithm, CSV dialect, sampling, and the trace/JSON
+    outputs."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
         "--algorithm",
         choices=ALGORITHMS,
         default="auto",
-        help="profiling algorithm (default: the paper's §6.5 heuristic)",
+        help="profiling algorithm (default: the paper's §6.5 heuristic, "
+        "applied per table by profile-schema)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random-walk seed")
-    parser.add_argument(
-        "--as-published",
-        action="store_true",
-        help="run MUDS exactly as published (skip the completeness walk)",
-    )
-    parser.add_argument("--delimiter", default=",", help="CSV field separator")
-    parser.add_argument(
+    flags.add_argument("--seed", type=int, default=0, help="random-walk seed")
+    flags.add_argument("--delimiter", default=",", help="CSV field separator")
+    flags.add_argument(
         "--no-header",
         action="store_true",
-        help="CSV has no header row (columns become column_0..n)",
+        help="CSV files have no header row (columns become column_0..n)",
     )
-    parser.add_argument(
-        "--max-rows", type=int, default=None, help="profile only the first N rows"
-    )
-    parser.add_argument(
-        "--keep-duplicates",
-        action="store_true",
-        help="skip the duplicate-row preprocessing step (§3)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="also print per-column statistics",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget; on expiry print the partial results "
-        "discovered so far and exit with code 3 (TL)",
-    )
-    parser.add_argument(
-        "--max-intersections",
-        type=int,
-        default=None,
-        metavar="N",
-        help="PLI-intersection work budget; exceeded counts as TL",
-    )
-    parser.add_argument(
-        "--max-cluster-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="estimated PLI cluster-memory budget; exceeded counts as ML",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the baseline algorithm's three "
-        "independent tasks (SPIDER, DUCC, FUN); the holistic algorithms "
-        "are single search processes and run with one",
-    )
-    parser.add_argument(
-        "--pli-backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="PLI kernel backend: 'python' (zero-dependency, the default) "
-        "or 'numpy' (vectorized; needs numpy installed). Results are "
-        "bit-identical either way. Defaults to $REPRO_PLI_BACKEND, or "
-        "'python' when unset",
-    )
-    parser.add_argument(
-        "--storage",
-        choices=_storage.STORAGE_MODES,
-        default=None,
-        help="where the dictionary-encoded int32 code arrays of every "
-        "column live: 'encoded' (in memory, the default) or 'mmap' "
-        "(spilled to memory-mapped files under $REPRO_SPILL_DIR so "
-        "relations larger than RAM profile within a bounded footprint). "
-        "Results are bit-identical in both modes. Defaults to "
-        "$REPRO_STORAGE, or 'encoded' when unset",
-    )
-    sampling_group = parser.add_mutually_exclusive_group()
+    sampling_group = flags.add_mutually_exclusive_group()
     sampling_group.add_argument(
         "--sampling",
         dest="sampling",
@@ -188,32 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable sample-based refutation; every candidate is "
         "validated on the exact PLI path",
     )
-    parser.add_argument(
-        "--result-cache",
-        metavar="DIR",
-        default=None,
-        help="content-addressed result cache directory (default: "
-        f"$REPRO_RESULT_CACHE_DIR or {DEFAULT_CACHE_DIR}); "
-        "already-profiled inputs are answered from disk instead of "
-        "recomputed",
-    )
-    parser.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="always recompute; neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="snapshot the traversal state at level/phase boundaries into "
-        "DIR and resume from the last completed boundary when an earlier "
-        "run of the same input/configuration was killed, interrupted, or "
-        "budget-stopped (default: $REPRO_CHECKPOINT_DIR; checkpointing is "
-        "off when neither is set). Results are bit-identical to an "
-        "undisturbed run",
-    )
-    parser.add_argument(
+    flags.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -221,6 +118,235 @@ def build_parser() -> argparse.ArgumentParser:
         "as JSONL to PATH (one event per line; see docs/trace_schema.json). "
         "Defaults to $REPRO_TRACE when that holds a path; tracing is off "
         "otherwise",
+    )
+    flags.add_argument(
+        "--json",
+        metavar="PATH",
+        help="write the result (profile-schema: the catalog) as JSON, "
+        "'-' for stdout; watch rewrites PATH after every update",
+    )
+    return flags
+
+
+def _limit_flags() -> argparse.ArgumentParser:
+    """Flags of the commands that run bounded, restartable executions
+    (``repro``, ``profile-schema``): budgets, workers, checkpoints."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock budget; on expiry print the partial results "
+        "discovered so far and exit with code 3 (TL). profile-schema "
+        "applies it per table execution and to the cross-table merge",
+    )
+    flags.add_argument(
+        "--max-intersections",
+        type=int,
+        default=None,
+        metavar="N",
+        help="PLI-intersection work budget (per execution); exceeded "
+        "counts as TL",
+    )
+    flags.add_argument(
+        "--max-cluster-bytes",
+        type=int,
+        default=None,
+        metavar="BYTES",
+        help="estimated PLI cluster-memory budget; exceeded counts as ML",
+    )
+    flags.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes (default: 1): profile-schema's per-table "
+        "sweep, or the baseline algorithm's three independent tasks "
+        "(SPIDER, DUCC, FUN); the holistic algorithms are single search "
+        "processes and run with one",
+    )
+    flags.add_argument(
+        "--checkpoint-dir",
+        metavar="DIR",
+        default=None,
+        help="snapshot the traversal state at level/phase boundaries into "
+        "DIR (profile-schema also journals every finished table) and "
+        "resume from the last completed boundary when an earlier run of "
+        "the same input/configuration was killed, interrupted, or "
+        "budget-stopped (default: $REPRO_CHECKPOINT_DIR; checkpointing is "
+        "off when neither is set). Results are bit-identical to an "
+        "undisturbed run",
+    )
+    return flags
+
+
+def _substrate_flags() -> argparse.ArgumentParser:
+    """Flags choosing the PLI kernel and the column storage (``repro``,
+    ``watch``)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--pli-backend",
+        choices=("python", "numpy"),
+        default=None,
+        help="PLI kernel backend: 'python' (zero-dependency, the default) "
+        "or 'numpy' (vectorized; needs numpy installed). Results are "
+        "bit-identical either way. Defaults to $REPRO_PLI_BACKEND, or "
+        "'python' when unset",
+    )
+    flags.add_argument(
+        "--storage",
+        choices=_storage.STORAGE_MODES,
+        default=None,
+        help="where the dictionary-encoded int32 code arrays of every "
+        "column live: 'encoded' (in memory, the default) or 'mmap' "
+        "(spilled to memory-mapped files under $REPRO_SPILL_DIR so "
+        "relations larger than RAM profile within a bounded footprint). "
+        "Results are bit-identical in both modes. Defaults to "
+        "$REPRO_STORAGE, or 'encoded' when unset",
+    )
+    return flags
+
+
+def _result_cache_flags() -> argparse.ArgumentParser:
+    """The result-cache location (``repro``, ``cache``)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--result-cache",
+        metavar="DIR",
+        default=None,
+        help="content-addressed result cache directory (default: "
+        f"$REPRO_RESULT_CACHE_DIR or {DEFAULT_CACHE_DIR})",
+    )
+    return flags
+
+
+def _limits(args: argparse.Namespace) -> tuple[Budget | None, str | None]:
+    """Validate the :func:`_limit_flags` and resolve them into the run's
+    budget (``None`` when unbudgeted) and checkpoint directory (``None``
+    when checkpointing is off); a bad value raises :class:`ValueError`."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    budget = None
+    if (
+        args.deadline is not None
+        or args.max_intersections is not None
+        or args.max_cluster_bytes is not None
+    ):
+        budget = Budget(
+            deadline_seconds=args.deadline,
+            max_intersections=args.max_intersections,
+            max_cluster_bytes=args.max_cluster_bytes,
+        )
+    return budget, args.checkpoint_dir or os.environ.get("REPRO_CHECKPOINT_DIR")
+
+
+def _arm_substrate(args: argparse.Namespace) -> None:
+    """Arm the :func:`_substrate_flags` process-wide before any CSV is read.
+
+    An unusable request fails the run up front (as :class:`ValueError`)
+    instead of silently profiling on another kernel, and the CSV read
+    streams straight into the requested storage (one pass, no re-encode).
+    """
+    try:
+        if args.pli_backend is not None:
+            _pli_backend.set_backend(args.pli_backend)
+        if args.storage is not None:
+            _storage.set_storage(args.storage)
+    except (_pli_backend.BackendUnavailable, _storage.StorageUnavailable) as error:
+        raise ValueError(str(error)) from error
+
+
+def _result_cache_root(args: argparse.Namespace) -> str:
+    return (
+        args.result_cache
+        or os.environ.get("REPRO_RESULT_CACHE_DIR")
+        or DEFAULT_CACHE_DIR
+    )
+
+
+def _start_trace(args: argparse.Namespace) -> _trace.Tracer | None:
+    """The run's tracer, brought up before any profiling work so the trace
+    covers the whole run.  ``$REPRO_TRACE`` already enabled the tracer at
+    import time; ``--trace`` enables it (freshly) here."""
+    return _trace.enable() if args.trace else _trace.ACTIVE
+
+
+def _write_trace(args: argparse.Namespace, tracer: _trace.Tracer | None) -> bool:
+    """Write the trace to ``--trace`` (or ``$REPRO_TRACE``); True when
+    written.  A failed write only warns: the profile itself succeeded."""
+    path = args.trace or _trace.env_trace_path()
+    if tracer is None or path is None:
+        return False
+    try:
+        written = _trace.write_jsonl(tracer.events, path)
+    except OSError as error:
+        print(f"warning: trace write failed: {error}", file=sys.stderr)
+        return False
+    print(f"trace written to {path} ({written} events)", file=sys.stderr)
+    return True
+
+
+def _write_json(path: str, payload: str) -> bool:
+    """Write ``payload`` to ``path``, or to stdout for ``-``; True when a
+    file was written.  An unwritable path raises :class:`OSError`, which
+    every command reports as ``error:`` with exit code 2."""
+    if path == "-":
+        print(payload)
+        return False
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(payload + "\n")
+    return True
+
+
+def _error(error: Exception) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Holistic data profiling: discover unary INDs, minimal UCCs, "
+            "and minimal FDs of a relation in one pass (EDBT 2016 "
+            "reproduction)."
+        ),
+        parents=[
+            _profile_flags(),
+            _limit_flags(),
+            _substrate_flags(),
+            _result_cache_flags(),
+        ],
+    )
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("csv", nargs="?", help="path to a CSV file")
+    source.add_argument(
+        "--dataset",
+        help="profile a built-in dataset instead (e.g. bridges, iris)",
+    )
+    parser.add_argument(
+        "--as-published",
+        action="store_true",
+        help="run MUDS exactly as published (skip the completeness walk)",
+    )
+    parser.add_argument(
+        "--max-rows", type=int, default=None, help="profile only the first N rows"
+    )
+    parser.add_argument(
+        "--keep-duplicates",
+        action="store_true",
+        help="skip the duplicate-row preprocessing step (§3)",
+    )
+    parser.add_argument(
+        "--stats",
+        action="store_true",
+        help="also print per-column statistics",
+    )
+    parser.add_argument(
+        "--no-result-cache",
+        action="store_true",
+        help="always recompute; neither read nor write the result cache",
     )
     parser.add_argument(
         "--append",
@@ -233,11 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "applied in order, and each maintained result is cached under the "
         "grown relation's fingerprint with a parent_fingerprint link back "
         "to the pre-append entry (see 'repro cache ls')",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the result as JSON (use '-' for stdout)",
     )
     return parser
 
@@ -296,12 +417,42 @@ def _open_result_cache(args: argparse.Namespace, budget: Budget | None):
     """
     if args.no_result_cache or budget is not None:
         return None
-    root = (
-        args.result_cache
-        or os.environ.get("REPRO_RESULT_CACHE_DIR")
-        or DEFAULT_CACHE_DIR
-    )
-    return ResultCache(root)
+    return ResultCache(_result_cache_root(args))
+
+
+def _cache_put(cache, fingerprint: str, algorithm: str, result, config: dict,
+               parent: str | None = None) -> None:
+    """Store ``result`` in ``cache``; a failed write only warns."""
+    try:
+        cache.put(
+            fingerprint,
+            algorithm,
+            result_to_dict(result),
+            config,
+            parent_fingerprint=parent,
+        )
+    except OSError as error:
+        print(f"warning: result cache write failed: {error}", file=sys.stderr)
+
+
+def _checkpoint_session(
+    checkpoint_dir: str | None,
+    what: str,
+    fingerprint: str,
+    algorithm: str,
+    config: dict,
+):
+    """Open the checkpoint session of one execution (``None`` when
+    checkpointing is off), announcing a resume of ``what``."""
+    if not checkpoint_dir:
+        return None
+    session = CheckpointStore(checkpoint_dir).session(fingerprint, algorithm, config)
+    if session.load():
+        print(
+            f"resuming {what} from checkpoint in {checkpoint_dir}",
+            file=sys.stderr,
+        )
+    return session
 
 
 def _apply_appends(
@@ -334,19 +485,13 @@ def _apply_appends(
                 f"do not match the base schema {relation.column_names}"
             )
         parent = relation.fingerprint()
-        session = None
-        if checkpoint_dir:
-            session = CheckpointStore(checkpoint_dir).session(
-                parent,
-                "incremental",
-                {**cache_config, "batch": batch.fingerprint()},
-            )
-            if session.load():
-                print(
-                    f"resuming incremental maintenance of {batch_path} "
-                    f"from checkpoint in {checkpoint_dir}",
-                    file=sys.stderr,
-                )
+        session = _checkpoint_session(
+            checkpoint_dir,
+            f"incremental maintenance of {batch_path}",
+            parent,
+            "incremental",
+            {**cache_config, "batch": batch.fingerprint()},
+        )
         with active_session(session):
             result = profiler.maintain(
                 relation, list(batch.iter_rows()), result
@@ -355,21 +500,7 @@ def _apply_appends(
             session.complete()
         grown = relation.fingerprint()
         if cache is not None and grown != parent:
-            from .metadata.serialize import result_to_dict as _to_dict
-
-            try:
-                cache.put(
-                    grown,
-                    algorithm,
-                    _to_dict(result),
-                    cache_config,
-                    parent_fingerprint=parent,
-                )
-            except OSError as error:
-                print(
-                    f"warning: result cache write failed: {error}",
-                    file=sys.stderr,
-                )
+            _cache_put(cache, grown, algorithm, result, cache_config, parent)
         print(
             f"appended {batch_path} ({batch.n_rows} rows): fingerprint "
             f"{parent[:12]}... -> {grown[:12]}...",
@@ -388,78 +519,10 @@ def build_schema_parser() -> argparse.ArgumentParser:
             "merge over the union of all columns, and ranked foreign-key "
             "candidates."
         ),
+        parents=[_profile_flags(), _limit_flags()],
     )
     parser.add_argument(
         "directory", help="schema root; every *.csv below it is one table"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the per-table profiling sweep "
-        "(default: 1, serial)",
-    )
-    parser.add_argument(
-        "--algorithm",
-        choices=ALGORITHMS,
-        default="auto",
-        help="per-table algorithm (default: the §6.5 heuristic per table)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random-walk seed")
-    parser.add_argument("--delimiter", default=",", help="CSV field separator")
-    parser.add_argument(
-        "--no-header",
-        action="store_true",
-        help="CSVs have no header row (columns become column_0..n)",
-    )
-    sampling_group = parser.add_mutually_exclusive_group()
-    sampling_group.add_argument(
-        "--sampling",
-        dest="sampling",
-        action="store_true",
-        default=True,
-        help="enable the sampling-driven refutation engine (default); "
-        "the cross-table merge reuses its value probes as a prefilter",
-    )
-    sampling_group.add_argument(
-        "--no-sampling",
-        dest="sampling",
-        action="store_false",
-        help="disable sample-based refutation (results identical, slower)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per table execution and for the "
-        "cross-table merge; exceeded phases become TL entries in the "
-        "catalog and the exit code is 3",
-    )
-    parser.add_argument(
-        "--max-intersections",
-        type=int,
-        default=None,
-        metavar="N",
-        help="PLI-intersection work budget (per execution); exceeded "
-        "counts as TL",
-    )
-    parser.add_argument(
-        "--max-cluster-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="estimated PLI cluster-memory budget; exceeded counts as ML",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="journal every finished table and snapshot traversal/merge "
-        "state into DIR; re-running the same command after a kill resumes "
-        "at table granularity with a bit-identical catalog (default: "
-        "$REPRO_CHECKPOINT_DIR; off when neither is set)",
     )
     parser.add_argument(
         "--no-resume",
@@ -472,18 +535,6 @@ def build_schema_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="report only the top-N foreign-key candidates",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a structured trace of the schema job as JSONL "
-        "(schema.* spans/counters; see docs/trace_schema.json)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the catalog as JSON (use '-' for stdout)",
     )
     return parser
 
@@ -522,33 +573,15 @@ def _print_catalog_report(catalog) -> None:
 
 def schema_main(argv: Sequence[str]) -> int:
     """``repro profile-schema`` entry point; returns a process exit code."""
-    from .harness.signals import graceful_shutdown as _graceful
     from .metadata.serialize import catalog_dumps
     from .schema import profile_schema
 
     args = build_schema_parser().parse_args(argv)
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    budget = None
-    if (
-        args.deadline is not None
-        or args.max_intersections is not None
-        or args.max_cluster_bytes is not None
-    ):
-        budget = Budget(
-            deadline_seconds=args.deadline,
-            max_intersections=args.max_intersections,
-            max_cluster_bytes=args.max_cluster_bytes,
-        )
-    checkpoint_dir = args.checkpoint_dir or os.environ.get(
-        "REPRO_CHECKPOINT_DIR"
-    )
-    checkpoints = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    trace_path = args.trace or _trace.env_trace_path()
-    tracer = _trace.enable() if args.trace else _trace.ACTIVE
     try:
-        with _graceful():
+        budget, checkpoint_dir = _limits(args)
+        checkpoints = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+        tracer = _start_trace(args)
+        with graceful_shutdown():
             catalog = profile_schema(
                 args.directory,
                 jobs=args.jobs,
@@ -562,9 +595,12 @@ def schema_main(argv: Sequence[str]) -> int:
                 has_header=not args.no_header,
                 max_fk_candidates=args.max_fk,
             )
+        if not args.json:
+            _print_catalog_report(catalog)
+        elif _write_json(args.json, catalog_dumps(catalog)):
+            print(f"catalog written to {args.json}")
     except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _error(error)
     except Interrupted as error:
         print(f"{error}; stopping cleanly", file=sys.stderr)
         if checkpoints is not None:
@@ -575,28 +611,7 @@ def schema_main(argv: Sequence[str]) -> int:
             )
         return EXIT_INTERRUPTED
 
-    if args.json:
-        payload = catalog_dumps(catalog)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"catalog written to {args.json}")
-    else:
-        _print_catalog_report(catalog)
-
-    if tracer is not None and trace_path is not None:
-        try:
-            written = _trace.write_jsonl(tracer.events, trace_path)
-        except OSError as error:
-            print(f"warning: trace write failed: {error}", file=sys.stderr)
-        else:
-            print(
-                f"trace written to {trace_path} ({written} events)",
-                file=sys.stderr,
-            )
-
+    _write_trace(args, tracer)
     statuses = {table.status for table in catalog.tables} | {catalog.status}
     if statuses & {"timeout", "memory"}:
         print(
@@ -619,22 +634,10 @@ def build_watch_parser() -> argparse.ArgumentParser:
             "file is profiled from scratch, every later file is appended "
             "and the profile is incrementally maintained at delta cost."
         ),
+        parents=[_profile_flags(), _substrate_flags()],
     )
     parser.add_argument(
         "directory", help="watched directory; every *.csv in it is a batch"
-    )
-    parser.add_argument(
-        "--algorithm",
-        choices=ALGORITHMS,
-        default="auto",
-        help="profiling algorithm for the base profile (default: auto)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random-walk seed")
-    parser.add_argument("--delimiter", default=",", help="CSV field separator")
-    parser.add_argument(
-        "--no-header",
-        action="store_true",
-        help="CSVs have no header row (columns become column_0..n)",
     )
     parser.add_argument(
         "--interval",
@@ -656,41 +659,6 @@ def build_watch_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stop after N files have been consumed",
     )
-    sampling_group = parser.add_mutually_exclusive_group()
-    sampling_group.add_argument(
-        "--sampling", dest="sampling", action="store_true", default=True,
-        help="enable the sampling-driven refutation engine (default)",
-    )
-    sampling_group.add_argument(
-        "--no-sampling", dest="sampling", action="store_false",
-        help="disable sample-based refutation (results identical, slower)",
-    )
-    parser.add_argument(
-        "--pli-backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="PLI kernel backend (default: $REPRO_PLI_BACKEND or python)",
-    )
-    parser.add_argument(
-        "--storage",
-        choices=_storage.STORAGE_MODES,
-        default=None,
-        help="where column code arrays live: 'encoded' (in memory) or "
-        "'mmap' (memory-mapped spill files); default: $REPRO_STORAGE or "
-        "encoded",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a structured trace (incremental.* spans/events) as "
-        "JSONL to PATH",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="rewrite PATH with the latest result after every update",
-    )
     return parser
 
 
@@ -699,29 +667,16 @@ def watch_main(argv: Sequence[str]) -> int:
     from .incremental import watch_directory
 
     args = build_watch_parser().parse_args(argv)
-    if args.pli_backend is not None:
-        try:
-            _pli_backend.set_backend(args.pli_backend)
-        except _pli_backend.BackendUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.storage is not None:
-        try:
-            _storage.set_storage(args.storage)
-        except _storage.StorageUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    trace_path = args.trace or _trace.env_trace_path()
-    tracer = _trace.enable() if args.trace else _trace.ACTIVE
 
     def on_update(path, relation, result) -> None:
         print(f"{path.name}: {result.summary()}")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(dumps(result) + "\n")
+            _write_json(args.json, dumps(result))
 
     exit_code = 0
     try:
+        _arm_substrate(args)
+        tracer = _start_trace(args)
         with graceful_shutdown():
             watch_directory(
                 args.directory,
@@ -736,21 +691,11 @@ def watch_main(argv: Sequence[str]) -> int:
                 on_update=on_update,
             )
     except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _error(error)
     except Interrupted as error:
         print(f"{error}; stopping cleanly", file=sys.stderr)
         exit_code = EXIT_INTERRUPTED
-    if tracer is not None and trace_path is not None:
-        try:
-            written = _trace.write_jsonl(tracer.events, trace_path)
-        except OSError as error:
-            print(f"warning: trace write failed: {error}", file=sys.stderr)
-        else:
-            print(
-                f"trace written to {trace_path} ({written} events)",
-                file=sys.stderr,
-            )
+    _write_trace(args, tracer)
     return exit_code
 
 
@@ -763,26 +708,16 @@ def build_cache_parser() -> argparse.ArgumentParser:
             "maintained results carry a parent_fingerprint link to the "
             "pre-append entry they were derived from."
         ),
+        parents=[_result_cache_flags()],
     )
     parser.add_argument("action", choices=("ls",), help="cache operation")
-    parser.add_argument(
-        "--result-cache",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default: $REPRO_RESULT_CACHE_DIR or "
-        f"{DEFAULT_CACHE_DIR})",
-    )
     return parser
 
 
 def cache_main(argv: Sequence[str]) -> int:
     """``repro cache`` entry point; returns a process exit code."""
     args = build_cache_parser().parse_args(argv)
-    root = (
-        args.result_cache
-        or os.environ.get("REPRO_RESULT_CACHE_DIR")
-        or DEFAULT_CACHE_DIR
-    )
+    root = _result_cache_root(args)
     entries = ResultCache(root).entries()
     if not entries:
         print(f"result cache at {root}: no entries")
@@ -810,59 +745,28 @@ def cache_main(argv: Sequence[str]) -> int:
     return 0
 
 
+#: Subcommands, dispatched before the single-relation parser: the plain
+#: ``repro`` CLI keeps its subcommand-free grammar (a bare CSV positional).
+_SUBCOMMANDS = {
+    "profile-schema": schema_main,
+    "watch": watch_main,
+    "cache": cache_main,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "profile-schema":
-        # Dispatched before the single-relation parser: the legacy CLI
-        # keeps its subcommand-free grammar (a bare CSV positional).
-        return schema_main(arguments[1:])
-    if arguments and arguments[0] == "watch":
-        return watch_main(arguments[1:])
-    if arguments and arguments[0] == "cache":
-        return cache_main(arguments[1:])
+    if arguments and arguments[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[arguments[0]](arguments[1:])
     args = build_parser().parse_args(arguments)
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.pli_backend is not None:
-        # Arm explicitly (process-wide) so an unusable request fails the
-        # run up front instead of silently profiling on another kernel.
-        try:
-            _pli_backend.set_backend(args.pli_backend)
-        except _pli_backend.BackendUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.storage is not None:
-        # Armed before _load so the CSV read streams straight into the
-        # requested representation (one pass, no re-encode).
-        try:
-            _storage.set_storage(args.storage)
-        except _storage.StorageUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    # Tracing comes up before any profiling work so the trace covers the
-    # whole run.  $REPRO_TRACE already enabled the tracer at import time;
-    # --trace enables it (freshly) here and fixes the output path.
-    trace_path = args.trace or _trace.env_trace_path()
-    tracer = _trace.enable() if args.trace else _trace.ACTIVE
     try:
+        budget, checkpoint_dir = _limits(args)
+        _arm_substrate(args)
+        tracer = _start_trace(args)
         relation = _load(args)
     except (OSError, KeyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    budget = None
-    if (
-        args.deadline is not None
-        or args.max_intersections is not None
-        or args.max_cluster_bytes is not None
-    ):
-        budget = Budget(
-            deadline_seconds=args.deadline,
-            max_intersections=args.max_intersections,
-            max_cluster_bytes=args.max_cluster_bytes,
-        )
+        return _error(error)
 
     # Resolve "auto" up front so the cache is keyed by the algorithm that
     # actually runs (the §6.5 heuristic depends only on the column count,
@@ -881,22 +785,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "pli_backend": _pli_backend.ACTIVE.name,
         "storage": _storage.ACTIVE,
     }
-
-    checkpoint_dir = args.checkpoint_dir or os.environ.get(
-        "REPRO_CHECKPOINT_DIR"
+    # Keyed exactly like the result cache, so a resume only restores
+    # state produced by an identical (input, algorithm, config) run.
+    session = _checkpoint_session(
+        checkpoint_dir, algorithm, relation.fingerprint(), algorithm, cache_config
     )
-    session = None
-    if checkpoint_dir:
-        # Keyed exactly like the result cache, so a resume only restores
-        # state produced by an identical (input, algorithm, config) run.
-        session = CheckpointStore(checkpoint_dir).session(
-            relation.fingerprint(), algorithm, cache_config
-        )
-        if session.load():
-            print(
-                f"resuming {algorithm} from checkpoint in {checkpoint_dir}",
-                file=sys.stderr,
-            )
 
     result = None
     if cache is not None:
@@ -940,8 +833,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     exit_code = 0
     partial = False
-    if result is None:
-        try:
+    try:
+        if result is None:
             with graceful_shutdown(), guarded(budget), active_session(session):
                 result = (
                     incremental.profile_base(relation)
@@ -959,24 +852,34 @@ def main(argv: Sequence[str] | None = None) -> int:
                 # Completed: the snapshot has nothing left to resume.
                 session.complete()
             if cache is not None:
-                try:
-                    cache.put(
-                        relation.fingerprint(),
-                        algorithm,
-                        result_to_dict(result),
-                        cache_config,
-                    )
-                except OSError as error:
-                    print(
-                        f"warning: result cache write failed: {error}",
-                        file=sys.stderr,
-                    )
-        except BudgetExceeded as error:
-            # Graceful degradation (Metanome's TL/ML cells): report
-            # whatever the interrupted algorithm had discovered, but exit
-            # non-zero so scripts can tell a partial profile from a
-            # complete one.
-            marker = "ML" if error.reason == "memory" else "TL"
+                _cache_put(
+                    cache, relation.fingerprint(), algorithm, result, cache_config
+                )
+        if incremental is not None:
+            # A fresh guard: the budget applies to the maintenance phase
+            # on its own, as it did to the base profile.
+            with graceful_shutdown(), guarded(budget):
+                result = _apply_appends(
+                    args,
+                    incremental,
+                    relation,
+                    result,
+                    algorithm,
+                    cache,
+                    cache_config,
+                    checkpoint_dir,
+                )
+    except (OSError, ValueError) as error:
+        if result is None:
+            raise  # the base profile failed: not a usage error
+        return _error(error)
+    except BudgetExceeded as error:
+        # Graceful degradation (Metanome's TL/ML cells): report whatever
+        # the stopped phase had produced, but exit non-zero so scripts can
+        # tell a partial profile from a complete one.
+        marker = "ML" if error.reason == "memory" else "TL"
+        if result is None:
+            partial = True
             result = error.partial_result or ProfilingResult.from_masks(
                 relation_name=relation.name, column_names=relation.column_names
             )
@@ -993,54 +896,25 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"{checkpoint_dir} to continue",
                     file=sys.stderr,
                 )
-            exit_code = 3
-            partial = True
-        except Interrupted as error:
-            # Graceful shutdown: the journal/checkpoint finally blocks
-            # already flushed; report, keep the snapshot, exit distinctly.
-            print(f"{error}; stopping cleanly", file=sys.stderr)
-            if session is not None:
-                print(
-                    "checkpoint kept; re-running the same command resumes "
-                    "from the last completed boundary",
-                    file=sys.stderr,
-                )
-            return EXIT_INTERRUPTED
-
-    if incremental is not None and exit_code == 0:
-        try:
-            with graceful_shutdown(), guarded(budget):
-                result = _apply_appends(
-                    args,
-                    incremental,
-                    relation,
-                    result,
-                    algorithm,
-                    cache,
-                    cache_config,
-                    checkpoint_dir,
-                )
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        except BudgetExceeded as error:
-            marker = "ML" if error.reason == "memory" else "TL"
+        else:
             print(
                 f"warning [{marker}]: budget exhausted during incremental "
                 f"maintenance ({error}); results below predate the "
                 "unfinished batch",
                 file=sys.stderr,
             )
-            exit_code = 3
-        except Interrupted as error:
-            print(f"{error}; stopping cleanly", file=sys.stderr)
-            if checkpoint_dir:
-                print(
-                    "checkpoint kept; re-running the same command resumes "
-                    "the unfinished batch from the last completed phase",
-                    file=sys.stderr,
-                )
-            return EXIT_INTERRUPTED
+        exit_code = 3
+    except Interrupted as error:
+        # Graceful shutdown: the journal/checkpoint finally blocks
+        # already flushed; report, keep the snapshot, exit distinctly.
+        print(f"{error}; stopping cleanly", file=sys.stderr)
+        if checkpoint_dir:
+            print(
+                "checkpoint kept; re-running the same command resumes "
+                "from the last completed boundary",
+                file=sys.stderr,
+            )
+        return EXIT_INTERRUPTED
 
     stats_lines: list[str] = []
     if args.stats:
@@ -1053,43 +927,32 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
 
     if args.json:
-        payload = dumps(result)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"result written to {args.json}")
+        try:
+            if _write_json(args.json, dumps(result)):
+                print(f"result written to {args.json}")
+        except OSError as error:
+            return _error(error)
         for line in stats_lines:
             print(line)
     else:
         _print_text_report(result, stats_lines, partial)
 
-    if tracer is not None and trace_path is not None:
-        try:
-            written = _trace.write_jsonl(tracer.events, trace_path)
-        except OSError as error:
-            print(f"warning: trace write failed: {error}", file=sys.stderr)
-        else:
+    if _write_trace(args, tracer):
+        summary = _trace.trace_summary(tracer.events)
+        if summary:
+            print("\nper-phase trace summary:")
             print(
-                f"trace written to {trace_path} ({written} events)",
-                file=sys.stderr,
+                f"  {'phase':32s} {'count':>6s} {'seconds':>10s} "
+                f"{'self':>10s}"
             )
-            summary = _trace.trace_summary(tracer.events)
-            if summary:
-                print("\nper-phase trace summary:")
+            for phase, entry in sorted(
+                summary.items(), key=lambda item: -item[1]["self_seconds"]
+            ):
                 print(
-                    f"  {'phase':32s} {'count':>6s} {'seconds':>10s} "
-                    f"{'self':>10s}"
+                    f"  {phase:32s} {entry['count']:6d} "
+                    f"{entry['seconds']:10.4f} "
+                    f"{entry['self_seconds']:10.4f}"
                 )
-                for phase, entry in sorted(
-                    summary.items(), key=lambda item: -item[1]["self_seconds"]
-                ):
-                    print(
-                        f"  {phase:32s} {entry['count']:6d} "
-                        f"{entry['seconds']:10.4f} "
-                        f"{entry['self_seconds']:10.4f}"
-                    )
     return exit_code
 
 

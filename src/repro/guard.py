@@ -21,9 +21,8 @@ re-raise, which is how the harness records graceful-degradation cells
 instead of losing the run.
 
 Like :mod:`repro.faults` this module is import-order neutral (stdlib
-only) so the lowest layers can use it; :mod:`repro.harness.budget`
-re-exports the public names for harness users.  The guard is
-process-global and single-threaded, matching the kernel's
+only) so the lowest layers can use it.  The guard is process-global
+and single-threaded, matching the kernel's
 :data:`~repro.pli.pli.KERNEL_STATS`.
 """
 

@@ -1,18 +1,15 @@
 """Metanome-like execution framework, experiment runner, and reporting."""
 
-# Imported first so ``repro.harness.checkpoint`` always names the
-# submodule: the guard's cooperative tick *function* of the same name is
-# deliberately not re-exported here (use ``repro.guard.checkpoint`` or
-# ``repro.harness.budget.checkpoint``).
-from . import checkpoint  # noqa: F401  (binds the submodule name)
-from .budget import Budget, BudgetExceeded, guarded
-from .checkpoint import CheckpointSession, CheckpointStore, SimulatedCrash
-from .faults import (
+from ..checkpointing import SimulatedCrash
+from ..faults import (
     FAULTS,
     FaultInjected,
     chaos_suite_enabled,
     fault_suite_enabled,
 )
+from ..guard import Budget, BudgetExceeded, guarded
+from ..trace import Tracer, trace_summary
+from .checkpoint import CheckpointSession, CheckpointStore
 from .framework import (
     STATUS_MARKERS,
     Execution,
@@ -29,7 +26,6 @@ from .result_cache import DEFAULT_CACHE_DIR, ResultCache
 from .retry import RetryPolicy
 from .runner import ExperimentRunner, SweepJournal, SweepPoint, sweep_table
 from .signals import EXIT_INTERRUPTED, Interrupted, graceful_shutdown
-from .trace import Tracer, trace_summary
 from .watchdog import Watchdog
 
 __all__ = [

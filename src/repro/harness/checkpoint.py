@@ -37,9 +37,8 @@ Checkpoint I/O runs under the transient-fault
 campaign exercises the torn-write paths.  The names the algorithms
 themselves touch (the :data:`~repro.checkpointing.ACTIVE` session handle,
 :class:`~repro.checkpointing.SimulatedCrash`, the JSON state helpers)
-live in the import-order-neutral :mod:`repro.checkpointing` — the same
-layering as :mod:`repro.guard` / :mod:`repro.harness.budget` — and are
-re-exported here as the harness face.
+live in the import-order-neutral :mod:`repro.checkpointing`, so the
+algorithms never import the harness.
 """
 
 from __future__ import annotations
@@ -52,33 +51,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from .. import trace as _trace
-from ..checkpointing import (  # noqa: F401  (harness face re-exports)
-    SimulatedCrash,
-    active_session,
-    mask_dict,
-    mask_items,
-    pli_from_state,
-    pli_state,
-    rng_state_from_json,
-    rng_state_to_json,
-)
+from ..checkpointing import SimulatedCrash
 from ..faults import CHECKPOINT_LOAD, CHECKPOINT_SAVE, FAULTS
 from .result_cache import config_key
 from .retry import RetryPolicy
 
-__all__ = [
-    "CheckpointSession",
-    "CheckpointStore",
-    "DEFAULT_MERGE_STRIDE",
-    "SimulatedCrash",
-    "active_session",
-    "mask_dict",
-    "mask_items",
-    "pli_from_state",
-    "pli_state",
-    "rng_state_from_json",
-    "rng_state_to_json",
-]
+__all__ = ["CheckpointSession", "CheckpointStore", "DEFAULT_MERGE_STRIDE"]
 
 #: Envelope schema version; bump to invalidate every existing checkpoint.
 CHECKPOINT_FORMAT_VERSION = 1

@@ -50,8 +50,14 @@ def watch_directory(
     column names under ``has_header``, same width otherwise).  With
     neither ``once`` nor ``max_batches`` the watcher polls forever every
     ``interval`` seconds; interrupt handling is the caller's concern
-    (the CLI runs it under ``graceful_shutdown``).
+    (the CLI runs it under ``graceful_shutdown``).  ``max_batches``
+    below 1 and a negative ``interval`` raise :class:`ValueError` before
+    any file is read.
     """
+    if max_batches is not None and max_batches < 1:
+        raise ValueError(f"max_batches must be >= 1, got {max_batches}")
+    if interval < 0:
+        raise ValueError(f"interval must be non-negative, got {interval}")
     root = Path(directory)
     if not root.is_dir():
         raise OSError(f"not a directory: {directory}")

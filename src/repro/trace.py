@@ -27,8 +27,7 @@ strips, and span ids can be rebased per captured slice
 ``jobs=N`` sweep compare structurally equal.
 
 Like :mod:`repro.guard`, this is a stdlib-only leaf module so the PLI
-kernel and the algorithms can hook in without importing the harness;
-:mod:`repro.harness.trace` re-exports the public names for harness users.
+kernel and the algorithms can hook in without importing the harness.
 """
 
 from __future__ import annotations

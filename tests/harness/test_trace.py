@@ -1,4 +1,4 @@
-"""Tests for the structured-tracing layer (repro.trace / harness.trace).
+"""Tests for the structured-tracing layer (repro.trace).
 
 Workload builders live at module level: the jobs=2 structural-equality
 test pickles them by reference into worker processes.
@@ -18,7 +18,7 @@ from repro.harness import (
     render_profile_report,
     trace_summary,
 )
-from repro.harness.trace import (
+from repro.trace import (
     capture,
     rebase,
     structural,

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.cli import cache_main, main, watch_main
+from repro.incremental import watch_directory
 from repro.relation import Relation, write_csv
 
 BASE_ROWS = [
@@ -199,3 +200,27 @@ class TestWatch:
         (watched / "0001.csv").write_text("x,y\n1,2\n")
         assert main(["watch", str(watched), "--once"]) == 2
         assert "do not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--max-batches", "0"], ["--interval", "-1"]]
+    )
+    def test_watch_limits_rejected_before_any_file(self, tmp_path, capsys, argv):
+        watched = self._directory(tmp_path)
+        assert watch_main([str(watched), "--once", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize(
+        "limits", [{"max_batches": 0}, {"max_batches": -1}, {"interval": -0.5}]
+    )
+    def test_watch_directory_rejects_bad_limits(self, tmp_path, limits):
+        watched = self._directory(tmp_path)
+        consumed = []
+        with pytest.raises(ValueError):
+            watch_directory(
+                str(watched),
+                on_update=lambda path, *_: consumed.append(path),
+                **limits,
+            )
+        assert consumed == []

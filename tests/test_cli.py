@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import (
+    build_cache_parser,
+    build_parser,
+    build_schema_parser,
+    build_watch_parser,
+    main,
+)
 from repro.relation import Relation, write_csv
 
 
@@ -172,3 +178,163 @@ class TestJobsFlag:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "minimal functional dependencies" in out
+
+
+class TestSetupErrors:
+    """Bad run options end in ``error:`` and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--deadline", "-1", "deadline_seconds"),
+            ("--max-intersections", "-5", "max_intersections"),
+            ("--max-cluster-bytes", "-1", "max_cluster_bytes"),
+        ],
+    )
+    def test_negative_budget_rejected(self, csv_path, capsys, flag, value, field):
+        assert main([str(csv_path), flag, value]) == 2
+        assert f"error: {field} must be non-negative" in capsys.readouterr().err
+
+    def test_negative_budget_rejected_by_profile_schema(self, csv_path, capsys):
+        argv = ["profile-schema", str(csv_path.parent), "--deadline", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: deadline_seconds must be non-negative" in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_json_path(self, csv_path, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert main([str(csv_path), "--json", str(target)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_json_path_in_profile_schema(self, csv_path, tmp_path, capsys):
+        target = tmp_path / "missing" / "c.json"
+        argv = ["profile-schema", str(csv_path.parent), "--json", str(target)]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def _surface(parser):
+    """Every argument's parse-relevant attributes, and the exclusive groups."""
+    actions = {
+        " ".join(action.option_strings) or action.dest: (
+            action.dest,
+            action.default,
+            tuple(action.choices) if action.choices else None,
+            action.nargs,
+            getattr(action.type, "__name__", None),
+            type(action).__name__,
+        )
+        for action in parser._actions
+        if not action.option_strings or action.option_strings[0] != "-h"
+    }
+    groups = sorted(
+        (
+            tuple(sorted(
+                " ".join(action.option_strings) or action.dest
+                for action in group._group_actions
+            )),
+            group.required,
+        )
+        for group in parser._mutually_exclusive_groups
+    )
+    return actions, groups
+
+
+_ALGORITHMS = ("auto", "muds", "holistic_fun", "baseline")
+_SAMPLING_GROUP = (("--no-sampling", "--sampling"), False)
+# Recorded from the four parsers before their shared flags were factored
+# into parent parsers; any drift in grammar shows up here.
+_PROFILE_FLAGS = {
+    "--algorithm": ("algorithm", "auto", _ALGORITHMS, None, None, "_StoreAction"),
+    "--seed": ("seed", 0, None, None, "int", "_StoreAction"),
+    "--delimiter": ("delimiter", ",", None, None, None, "_StoreAction"),
+    "--no-header": ("no_header", False, None, 0, None, "_StoreTrueAction"),
+    "--sampling": ("sampling", True, None, 0, None, "_StoreTrueAction"),
+    "--no-sampling": ("sampling", True, None, 0, None, "_StoreFalseAction"),
+    "--trace": ("trace", None, None, None, None, "_StoreAction"),
+    "--json": ("json", None, None, None, None, "_StoreAction"),
+}
+_LIMIT_FLAGS = {
+    "--deadline": ("deadline", None, None, None, "float", "_StoreAction"),
+    "--max-intersections": (
+        "max_intersections", None, None, None, "int", "_StoreAction"
+    ),
+    "--max-cluster-bytes": (
+        "max_cluster_bytes", None, None, None, "int", "_StoreAction"
+    ),
+    "--jobs": ("jobs", 1, None, None, "int", "_StoreAction"),
+    "--checkpoint-dir": ("checkpoint_dir", None, None, None, None, "_StoreAction"),
+}
+_SUBSTRATE_FLAGS = {
+    "--pli-backend": (
+        "pli_backend", None, ("python", "numpy"), None, None, "_StoreAction"
+    ),
+    "--storage": ("storage", None, ("encoded", "mmap"), None, None, "_StoreAction"),
+}
+_RESULT_CACHE_FLAG = {
+    "--result-cache": ("result_cache", None, None, None, None, "_StoreAction"),
+}
+
+
+class TestSurface:
+    def test_profile_parser(self):
+        assert _surface(build_parser()) == (
+            {
+                "csv": ("csv", None, None, "?", None, "_StoreAction"),
+                "--dataset": ("dataset", None, None, None, None, "_StoreAction"),
+                "--as-published": (
+                    "as_published", False, None, 0, None, "_StoreTrueAction"
+                ),
+                "--max-rows": ("max_rows", None, None, None, "int", "_StoreAction"),
+                "--keep-duplicates": (
+                    "keep_duplicates", False, None, 0, None, "_StoreTrueAction"
+                ),
+                "--stats": ("stats", False, None, 0, None, "_StoreTrueAction"),
+                "--no-result-cache": (
+                    "no_result_cache", False, None, 0, None, "_StoreTrueAction"
+                ),
+                "--append": ("append", None, None, None, None, "_AppendAction"),
+                **_PROFILE_FLAGS,
+                **_LIMIT_FLAGS,
+                **_SUBSTRATE_FLAGS,
+                **_RESULT_CACHE_FLAG,
+            },
+            [(("--dataset", "csv"), True), _SAMPLING_GROUP],
+        )
+
+    def test_schema_parser(self):
+        assert _surface(build_schema_parser()) == (
+            {
+                "directory": ("directory", None, None, None, None, "_StoreAction"),
+                "--no-resume": ("no_resume", False, None, 0, None, "_StoreTrueAction"),
+                "--max-fk": ("max_fk", None, None, None, "int", "_StoreAction"),
+                **_PROFILE_FLAGS,
+                **_LIMIT_FLAGS,
+            },
+            [_SAMPLING_GROUP],
+        )
+
+    def test_watch_parser(self):
+        assert _surface(build_watch_parser()) == (
+            {
+                "directory": ("directory", None, None, None, None, "_StoreAction"),
+                "--interval": ("interval", 2.0, None, None, "float", "_StoreAction"),
+                "--once": ("once", False, None, 0, None, "_StoreTrueAction"),
+                "--max-batches": (
+                    "max_batches", None, None, None, "int", "_StoreAction"
+                ),
+                **_PROFILE_FLAGS,
+                **_SUBSTRATE_FLAGS,
+            },
+            [_SAMPLING_GROUP],
+        )
+
+    def test_cache_parser(self):
+        assert _surface(build_cache_parser()) == (
+            {
+                "action": ("action", None, ("ls",), None, None, "_StoreAction"),
+                **_RESULT_CACHE_FLAG,
+            },
+            [],
+        )
