@@ -15,7 +15,7 @@ from repro.harness import ExperimentRunner, ascii_table, default_framework, seri
 
 from .conftest import once
 
-ALGORITHMS = ("baseline", "hfun", "muds")
+ALGORITHMS = ("baseline", "holistic_fun", "muds")
 
 
 def test_fig6_row_scalability(benchmark, bench_profile, report_sink):
@@ -60,6 +60,6 @@ def test_fig6_row_scalability(benchmark, bench_profile, report_sink):
     # hold on the single tiny point of a CI smoke run).
     if not bench_profile["smoke"]:
         top = points[-1]
-        assert top.seconds("hfun") < top.seconds("baseline"), (
+        assert top.seconds("holistic_fun") < top.seconds("baseline"), (
             "Holistic FUN should beat the sequential baseline (shared I/O)"
         )

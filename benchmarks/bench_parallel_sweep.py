@@ -1,7 +1,7 @@
 """Parallel execution layer — speedup and determinism on the Fig. 6 sweep.
 
 Three runs of the same Fig. 6 row sweep (uniprot_like, 10 columns,
-baseline/hfun/muds) measure the execution layer end to end:
+baseline/holistic_fun/muds) measure the execution layer end to end:
 
 1. ``jobs=1`` against an empty result cache — the serial reference; the
    run also *populates* the cache.
@@ -38,7 +38,7 @@ from repro.metadata.serialize import result_signature
 
 from .conftest import RESULTS_DIR, once
 
-ALGORITHMS = ("baseline", "hfun", "muds")
+ALGORITHMS = ("baseline", "holistic_fun", "muds")
 
 #: The sweep workload, picklable by reference for worker processes.
 WORKLOAD = WorkloadSpec(uniprot_like, {"n_columns": 10, "seed": 0})

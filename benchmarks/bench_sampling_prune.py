@@ -26,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.baseline import SequentialBaseline  # noqa: E402
+from repro.core.baseline import BaselineProfiler  # noqa: E402
 from repro.core.holistic_fun import HolisticFun  # noqa: E402
 from repro.core.muds import Muds  # noqa: E402
 from repro.datasets.generators import ionosphere_like, uniprot_like  # noqa: E402
@@ -51,7 +51,7 @@ SMOKE_WORKLOADS = [
 PROFILERS = {
     "muds": lambda sampling: Muds(seed=0, sampling=sampling),
     "hfun": lambda sampling: HolisticFun(sampling=sampling),
-    "baseline": lambda sampling: SequentialBaseline(seed=0, sampling=sampling),
+    "baseline": lambda sampling: BaselineProfiler(seed=0, sampling=sampling),
 }
 
 

@@ -20,7 +20,7 @@ from repro.harness import ascii_table, default_framework
 
 from .conftest import once
 
-ALGORITHMS = ("baseline", "hfun", "muds", "tane")
+ALGORITHMS = ("baseline", "holistic_fun", "muds", "tane")
 
 
 def test_table3_uci_datasets(benchmark, bench_profile, report_sink):
@@ -81,7 +81,7 @@ def test_table3_uci_datasets(benchmark, bench_profile, report_sink):
     }
     # Paper's headline orderings.
     letter = seconds_by_name["letter"]
-    assert letter["muds"] < letter["hfun"], "MUDS should win on letter"
+    assert letter["muds"] < letter["holistic_fun"], "MUDS should win on letter"
     assert letter["muds"] < letter["tane"], (
         "MUDS should beat even the pure FD algorithm on letter (paper: 24x)"
     )

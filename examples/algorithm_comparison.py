@@ -38,7 +38,7 @@ def main(dataset: str = "bridges", n_rows: int | None = None) -> None:
     print(f"\nfastest: {fastest.algorithm} ({fastest.seconds:.3f}s)")
     spec = REGISTRY[dataset]
     if spec.paper_seconds:
-        names = ("baseline", "hfun", "muds", "tane")
+        names = ("baseline", "holistic_fun", "muds", "tane")
         paper = ", ".join(f"{n}={s}s" for n, s in zip(names, spec.paper_seconds))
         print(f"paper reports (Java, full rows): {paper}")
 

@@ -19,8 +19,7 @@ Quickstart::
     print(result.inds, result.uccs, result.fds)
 """
 
-from .core.adaptive import AdaptiveProfiler
-from .core.baseline import BaselineProfiler, SequentialBaseline
+from .core.baseline import BaselineProfiler
 from .core.holistic_fun import HolisticFun
 from .core.muds import Muds
 from .core.profiler import choose_algorithm, profile
@@ -32,7 +31,6 @@ from .relation import ColumnSet, Relation, read_csv, read_csv_text, write_csv
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptiveProfiler",
     "BaselineProfiler",
     "Budget",
     "BudgetExceeded",
@@ -44,7 +42,6 @@ __all__ = [
     "Muds",
     "ProfilingResult",
     "Relation",
-    "SequentialBaseline",
     "UCC",
     "choose_algorithm",
     "guarded",

@@ -36,7 +36,12 @@ into DIR, SIGTERM/SIGINT stop the run cleanly with exit code 4 (the
 snapshot survives), and re-running the same command resumes from the last
 completed boundary with bit-identical results.  A budget-stopped run
 (exit code 3) keeps its snapshot too, so re-running without the budget
-continues instead of starting over.
+continues instead of starting over, and so does a run whose profiler
+crashed (``error: <cause>``, exit code 1).
+
+The single-relation run is one :meth:`Framework.run
+<repro.harness.framework.Framework.run>` call, which owns the result-cache
+lookup and store, the checkpoint session and the budget.
 """
 
 from __future__ import annotations
@@ -44,20 +49,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from collections.abc import Sequence
 
 from . import trace as _trace
 from .checkpointing import active_session
-from .core.profiler import ALGORITHMS, choose_algorithm, profile
+from .core.profiler import ALGORITHMS, Profile, resolve_algorithm
 from .pli import backend as _pli_backend
 from .relation import encoded as _storage
 from .core.statistics import profile_statistics
 from .guard import Budget, BudgetExceeded, guarded
 from .harness.checkpoint import CheckpointStore
+from .harness.framework import Execution, Framework
 from .harness.result_cache import DEFAULT_CACHE_DIR, ResultCache
 from .harness.signals import EXIT_INTERRUPTED, Interrupted, graceful_shutdown
 from .metadata.results import ProfilingResult
-from .metadata.serialize import dumps, result_from_dict, result_to_dict
+from .metadata.serialize import dumps
 from .relation.csv_io import read_csv
 from .relation.relation import Relation
 
@@ -408,53 +415,6 @@ def _print_text_report(result, stats_lines: list[str], partial: bool) -> None:
         print(line)
 
 
-def _open_result_cache(args: argparse.Namespace, budget: Budget | None):
-    """Resolve the CLI's result cache (or ``None`` when disabled).
-
-    Budgeted runs bypass the cache: a TL/ML partial is a property of the
-    budget, not the input, and must never be served — or stored — as the
-    input's profile.
-    """
-    if args.no_result_cache or budget is not None:
-        return None
-    return ResultCache(_result_cache_root(args))
-
-
-def _cache_put(cache, fingerprint: str, algorithm: str, result, config: dict,
-               parent: str | None = None) -> None:
-    """Store ``result`` in ``cache``; a failed write only warns."""
-    try:
-        cache.put(
-            fingerprint,
-            algorithm,
-            result_to_dict(result),
-            config,
-            parent_fingerprint=parent,
-        )
-    except OSError as error:
-        print(f"warning: result cache write failed: {error}", file=sys.stderr)
-
-
-def _checkpoint_session(
-    checkpoint_dir: str | None,
-    what: str,
-    fingerprint: str,
-    algorithm: str,
-    config: dict,
-):
-    """Open the checkpoint session of one execution (``None`` when
-    checkpointing is off), announcing a resume of ``what``."""
-    if not checkpoint_dir:
-        return None
-    session = CheckpointStore(checkpoint_dir).session(fingerprint, algorithm, config)
-    if session.load():
-        print(
-            f"resuming {what} from checkpoint in {checkpoint_dir}",
-            file=sys.stderr,
-        )
-    return session
-
-
 def _apply_appends(
     args: argparse.Namespace,
     profiler,
@@ -468,12 +428,14 @@ def _apply_appends(
     """Fold each ``--append`` batch into the profiled relation in order.
 
     Every batch advances the fingerprint chain: the maintained result is
-    cached under the grown relation's fingerprint with a
-    ``parent_fingerprint`` link to the pre-append entry, so a later plain
-    run over the combined data answers from cache, and ``repro cache ls``
-    can render the chain.  Checkpoint sessions are keyed per batch by
-    ``(parent fingerprint, "incremental", config + batch fingerprint)`` —
-    a maintenance run killed mid-re-validation resumes exactly.
+    cached under the grown relation's fingerprint, as the execution record
+    :meth:`Framework.run <repro.harness.framework.Framework.run>` stores,
+    with a ``parent_fingerprint`` link to the pre-append entry, so a later
+    plain run over the combined data answers from cache, and
+    ``repro cache ls`` can render the chain.  Checkpoint sessions are
+    keyed per batch by ``(parent fingerprint, "incremental", config +
+    batch fingerprint)`` — a maintenance run killed mid-re-validation
+    resumes exactly.
     """
     for batch_path in args.append:
         batch = read_csv(
@@ -485,22 +447,46 @@ def _apply_appends(
                 f"do not match the base schema {relation.column_names}"
             )
         parent = relation.fingerprint()
-        session = _checkpoint_session(
-            checkpoint_dir,
-            f"incremental maintenance of {batch_path}",
-            parent,
-            "incremental",
-            {**cache_config, "batch": batch.fingerprint()},
-        )
+        session = None
+        if checkpoint_dir:
+            session = CheckpointStore(checkpoint_dir).session(
+                parent,
+                "incremental",
+                {**cache_config, "batch": batch.fingerprint()},
+            )
+            if session.load():
+                print(
+                    f"resuming incremental maintenance of {batch_path} "
+                    f"from checkpoint in {checkpoint_dir}",
+                    file=sys.stderr,
+                )
+        started = time.perf_counter()
         with active_session(session):
             result = profiler.maintain(
                 relation, list(batch.iter_rows()), result
             )
+        seconds = time.perf_counter() - started
         if session is not None:
             session.complete()
         grown = relation.fingerprint()
         if cache is not None and grown != parent:
-            _cache_put(cache, grown, algorithm, result, cache_config, parent)
+            record = Execution(
+                algorithm=algorithm,
+                dataset=relation.name,
+                n_columns=relation.n_columns,
+                n_rows=relation.n_rows,
+                seconds=seconds,
+                result=result,
+            ).to_record()
+            try:
+                cache.put(
+                    grown, algorithm, record, cache_config, parent_fingerprint=parent
+                )
+            except OSError as error:
+                print(
+                    f"warning: result cache write failed: {error}",
+                    file=sys.stderr,
+                )
         print(
             f"appended {batch_path} ({batch.n_rows} rows): fingerprint "
             f"{parent[:12]}... -> {grown[:12]}...",
@@ -771,13 +757,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Resolve "auto" up front so the cache is keyed by the algorithm that
     # actually runs (the §6.5 heuristic depends only on the column count,
     # which the fingerprint covers).
-    algorithm = args.algorithm
-    if algorithm == "auto":
-        algorithm = choose_algorithm(relation)
-    cache = _open_result_cache(args, budget)
+    algorithm = resolve_algorithm(args.algorithm, relation)
+    # Budgeted runs bypass the cache, appends included: a TL/ML partial is
+    # a property of the budget, not the input.
+    cache = (
+        None
+        if args.no_result_cache or budget is not None
+        else ResultCache(_result_cache_root(args))
+    )
     # ``sampling`` and ``pli_backend`` are part of the key for counter
     # transparency only — discovered metadata is exact (thus identical)
-    # in all modes.
+    # in all modes.  The checkpoint session is keyed the same way, so a
+    # resume only restores state of an identical (input, algorithm,
+    # config) run.
     cache_config = {
         "seed": args.seed,
         "as_published": args.as_published,
@@ -785,40 +777,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "pli_backend": _pli_backend.ACTIVE.name,
         "storage": _storage.ACTIVE,
     }
-    # Keyed exactly like the result cache, so a resume only restores
-    # state produced by an identical (input, algorithm, config) run.
-    session = _checkpoint_session(
-        checkpoint_dir, algorithm, relation.fingerprint(), algorithm, cache_config
-    )
 
-    result = None
-    if cache is not None:
-        document = cache.get(relation.fingerprint(), algorithm, cache_config)
-        if document is not None:
-            try:
-                result = result_from_dict(document)
-            except ValueError:
-                result = None  # stale schema: recompute
-            else:
-                if tracer is not None:
-                    # Served from cache: no algorithm ran, so no spans —
-                    # but the trace must say why the run shows no work.
-                    tracer.event(
-                        "cache.hit",
-                        algorithm=algorithm,
-                        dataset=relation.name,
-                        fingerprint=relation.fingerprint()[:12],
-                    )
-                print(
-                    f"result cache hit for {algorithm} "
-                    f"(fingerprint {relation.fingerprint()[:12]}...)",
-                    file=sys.stderr,
-                )
-
-    # With --append the base profile must run through an incremental
-    # profiler whose PLI store stays warm: the maintenance phase then
-    # delta-merges into the very substrate the base profile built,
-    # instead of rebuilding it.
+    # With --append the base profile must build into the incremental
+    # profiler's PLI store: the maintenance phase then delta-merges into
+    # the very substrate the base profile built, instead of rebuilding it.
     incremental = None
     if args.append:
         from .incremental import IncrementalProfiler
@@ -830,32 +792,68 @@ def main(argv: Sequence[str] | None = None) -> int:
             jobs=args.jobs,
             sampling=args.sampling,
         )
+    store = incremental.store if incremental is not None else None
+    framework = Framework()
+    framework.register(
+        algorithm,
+        lambda: Profile(
+            algorithm,
+            args.seed,
+            not args.as_published,
+            args.jobs,
+            args.sampling,
+            store,
+        ),
+    )
 
     exit_code = 0
     partial = False
     try:
-        if result is None:
-            with graceful_shutdown(), guarded(budget), active_session(session):
-                result = (
-                    incremental.profile_base(relation)
-                    if incremental is not None
-                    else profile(
-                        relation,
-                        algorithm=algorithm,
-                        seed=args.seed,
-                        verify_completeness=not args.as_published,
-                        jobs=args.jobs,
-                        sampling=args.sampling,
-                    )
+        with graceful_shutdown():
+            execution = framework.run(
+                algorithm,
+                relation,
+                budget=budget,
+                cache=cache,
+                cache_config=cache_config,
+                checkpoints=CheckpointStore(checkpoint_dir) if checkpoint_dir else None,
+            )
+        result = execution.result
+        if execution.cached:
+            print(
+                f"result cache hit for {algorithm} "
+                f"(fingerprint {relation.fingerprint()[:12]}...)",
+                file=sys.stderr,
+            )
+        if execution.resumed:
+            print(
+                f"resuming {algorithm} from checkpoint in {checkpoint_dir}",
+                file=sys.stderr,
+            )
+        if execution.status == "error":
+            print(f"error: {execution.error}", file=sys.stderr)
+            _write_trace(args, tracer)
+            return 1
+        if not execution.ok:
+            # Graceful degradation (Metanome's TL/ML cells): report whatever
+            # the stopped run had produced, but exit non-zero so scripts
+            # can tell a partial profile from a complete one.
+            partial = True
+            print(
+                f"warning [{execution.marker}]: budget exhausted "
+                f"({execution.error}); results below are partial",
+                file=sys.stderr,
+            )
+            if checkpoint_dir:
+                # The snapshot survives: re-running without the budget
+                # resumes from the last completed boundary.
+                print(
+                    "checkpoint kept; re-run with --checkpoint-dir "
+                    f"{checkpoint_dir} to continue",
+                    file=sys.stderr,
                 )
-            if session is not None:
-                # Completed: the snapshot has nothing left to resume.
-                session.complete()
-            if cache is not None:
-                _cache_put(
-                    cache, relation.fingerprint(), algorithm, result, cache_config
-                )
-        if incremental is not None:
+            exit_code = 3
+        elif incremental is not None:
             # A fresh guard: the budget applies to the maintenance phase
             # on its own, as it did to the base profile.
             with graceful_shutdown(), guarded(budget):
@@ -870,39 +868,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                     checkpoint_dir,
                 )
     except (OSError, ValueError) as error:
-        if result is None:
-            raise  # the base profile failed: not a usage error
         return _error(error)
     except BudgetExceeded as error:
-        # Graceful degradation (Metanome's TL/ML cells): report whatever
-        # the stopped phase had produced, but exit non-zero so scripts can
-        # tell a partial profile from a complete one.
         marker = "ML" if error.reason == "memory" else "TL"
-        if result is None:
-            partial = True
-            result = error.partial_result or ProfilingResult.from_masks(
-                relation_name=relation.name, column_names=relation.column_names
-            )
-            print(
-                f"warning [{marker}]: budget exhausted ({error}); "
-                "results below are partial",
-                file=sys.stderr,
-            )
-            if session is not None:
-                # The snapshot survives: re-running without the budget
-                # resumes from the last completed boundary.
-                print(
-                    "checkpoint kept; re-run with --checkpoint-dir "
-                    f"{checkpoint_dir} to continue",
-                    file=sys.stderr,
-                )
-        else:
-            print(
-                f"warning [{marker}]: budget exhausted during incremental "
-                f"maintenance ({error}); results below predate the "
-                "unfinished batch",
-                file=sys.stderr,
-            )
+        print(
+            f"warning [{marker}]: budget exhausted during incremental "
+            f"maintenance ({error}); results below predate the "
+            "unfinished batch",
+            file=sys.stderr,
+        )
         exit_code = 3
     except Interrupted as error:
         # Graceful shutdown: the journal/checkpoint finally blocks

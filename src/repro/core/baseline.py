@@ -52,7 +52,7 @@ from ..pli.store import PliStore
 from ..relation.relation import Relation
 from ..sampling import SamplingConfig
 
-__all__ = ["BaselineProfiler", "SequentialBaseline", "BASELINE_TASKS"]
+__all__ = ["BaselineProfiler", "BASELINE_TASKS"]
 
 #: The three independent tasks, in the paper's execution order.
 BASELINE_TASKS = ("spider", "ducc", "fun")
@@ -373,18 +373,6 @@ class BaselineProfiler:
     ) -> None:
         self.sum_of_task_seconds = sum(timings.values())
         self.makespan_seconds = time.perf_counter() - wall_started
-
-
-class SequentialBaseline(BaselineProfiler):
-    """The paper's sequential baseline (kept as the historical name)."""
-
-    def __init__(
-        self,
-        seed: int = 0,
-        store: PliStore | None = None,
-        sampling: SamplingConfig | bool | None = None,
-    ):
-        super().__init__(seed=seed, store=store, jobs=None, sampling=sampling)
 
 
 def _active_budget_copy() -> Budget | None:

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Protocol
 
 from .. import trace as _trace
 from ..checkpointing import active_session
-from ..core.baseline import SequentialBaseline
-from ..core.holistic_fun import HolisticFun
-from ..core.muds import Muds
+from ..core.profiler import PROFILERS
 from ..guard import Budget, BudgetExceeded, guarded
 from .checkpoint import CheckpointStore
 from .signals import Interrupted
@@ -506,30 +505,20 @@ def default_framework(
     seed: int = 0,
     faithful_muds: bool = True,
     sampling: "SamplingConfig | bool | None" = None,
-    pli_backend: str | None = None,
-    storage: str | None = None,
 ) -> Framework:
-    """Framework with the paper's four contenders registered.
+    """Framework with the paper's four contenders registered: every entry
+    of the algorithm table (:data:`repro.core.profiler.PROFILERS`) plus the
+    FD-only ``"tane"``.
 
     ``faithful_muds`` selects the as-published MUDS configuration
     (``verify_completeness=False``) used for benchmark comparisons; pass
     ``False`` to benchmark the exactness-certifying default instead.
     ``sampling`` configures every contender's refutation engine uniformly
-    (``None``/``True`` default on, ``False`` off).  ``pli_backend`` arms a
-    PLI kernel backend process-wide (``"python"``/``"numpy"``; ``None``
-    keeps the currently armed one) — the results are bit-identical either
-    way, only the kernel's speed changes.  ``storage`` likewise arms where
-    column code arrays live, process-wide (``"encoded"``/``"mmap"``;
-    ``None`` keeps the armed one): metadata and counters are identical
-    across modes, only memory residency and speed change.
+    (``None``/``True`` default on, ``False`` off).  The PLI kernel backend
+    and the column storage are the process's armed ones.
     """
     from ..algorithms.tane import TaneResult, tane
     from ..pli.store import PliStore
-
-    if pli_backend is not None:
-        _backend.set_backend(pli_backend)
-    if storage is not None:
-        _encoded.set_storage(storage)
 
     class _TaneProfiler:
         """TANE wrapped as a (FD-only) profiler for Table 3 comparisons."""
@@ -565,17 +554,11 @@ def default_framework(
             )
 
     framework = Framework()
-    framework.register(
-        "baseline", lambda: SequentialBaseline(seed=seed, sampling=sampling)
-    )
-    framework.register("hfun", lambda: HolisticFun(sampling=sampling))
-    framework.register(
-        "muds",
-        lambda: Muds(
-            seed=seed,
-            verify_completeness=not faithful_muds,
-            sampling=sampling,
-        ),
-    )
+    # Alphabetical: baseline, holistic_fun, muds (the default run order).
+    for name in sorted(PROFILERS):
+        framework.register(
+            name,
+            partial(PROFILERS[name], seed, not faithful_muds, None, sampling, None),
+        )
     framework.register("tane", lambda: _TaneProfiler(), fd_only=True)
     return framework

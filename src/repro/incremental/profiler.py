@@ -42,10 +42,7 @@ from typing import Any
 from .. import checkpointing as _ckpt
 from .. import trace as _trace
 from ..algorithms.values import canonical_value
-from ..core.baseline import BaselineProfiler
-from ..core.holistic_fun import HolisticFun
-from ..core.muds import Muds
-from ..core.profiler import ALGORITHMS, choose_algorithm
+from ..core.profiler import Profile
 from ..metadata.results import ProfilingResult
 from ..pli.store import PliStore
 from ..relation.columnset import bit, full_mask, is_proper_subset, is_subset
@@ -74,47 +71,21 @@ class IncrementalProfiler:
         sampling: SamplingConfig | bool | None = None,
         store: PliStore | None = None,
     ):
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}"
-            )
-        self.algorithm = algorithm
-        self.seed = seed
-        self.verify_completeness = verify_completeness
-        self.jobs = jobs
-        self.sampling = sampling
         self.store = store if store is not None else PliStore(sampling=sampling)
+        self._base = Profile(
+            algorithm, seed, verify_completeness, jobs, sampling, self.store
+        )
 
     # -- base profile --------------------------------------------------------
 
     def profile_base(self, relation: Relation) -> ProfilingResult:
-        """Full from-scratch profile through the shared store.
-
-        Same dispatch as :func:`repro.core.profiler.profile`, but the
-        profilers are handed this instance's store so the single-column
-        PLIs, memoized composites, and vectors built here are exactly
-        what a later :meth:`maintain` delta-merges into.
+        """Full from-scratch profile through the shared store: the
+        :class:`~repro.core.profiler.Profile` of this instance's options,
+        handed this instance's store so the single-column PLIs, memoized
+        composites, and vectors built here are exactly what a later
+        :meth:`maintain` delta-merges into.
         """
-        algorithm = self.algorithm
-        if algorithm == "auto":
-            algorithm = choose_algorithm(relation)
-        if algorithm == "muds":
-            return Muds(
-                seed=self.seed,
-                verify_completeness=self.verify_completeness,
-                store=self.store,
-                sampling=self.sampling,
-            ).profile(relation)
-        if algorithm == "holistic_fun":
-            return HolisticFun(
-                store=self.store, sampling=self.sampling
-            ).profile(relation)
-        return BaselineProfiler(
-            seed=self.seed,
-            store=self.store,
-            jobs=self.jobs,
-            sampling=self.sampling,
-        ).profile(relation)
+        return self._base.profile(relation)
 
     # -- incremental maintenance ---------------------------------------------
 

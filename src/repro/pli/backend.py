@@ -504,9 +504,9 @@ def set_backend(choice: str | None) -> PythonBackend | NumpyBackend:
 
 @contextmanager
 def use_backend(choice: str | None) -> Iterator[PythonBackend | NumpyBackend]:
-    """Scoped backend selection (tests, the differential suite, and the
-    :func:`~repro.core.profiler.profile` facade).  ``None`` keeps the
-    currently armed backend — a no-op context."""
+    """Scoped backend selection (tests, the differential suite, library
+    callers that want one backend for a block of calls).  ``None`` keeps
+    the currently armed backend — a no-op context."""
     global ACTIVE
     if choice is None:
         yield ACTIVE

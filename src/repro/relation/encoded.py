@@ -162,8 +162,9 @@ def set_storage(choice: str | None) -> str:
 
 @contextmanager
 def use_storage(choice: str | None) -> Iterator[str]:
-    """Scoped storage-mode selection (tests, the ``profile()`` facade).
-    ``None`` keeps the currently armed mode — a no-op context."""
+    """Scoped storage-mode selection (tests, library callers that want
+    one mode for a block of calls).  ``None`` keeps the currently armed
+    mode — a no-op context."""
     global ACTIVE
     if choice is None:
         yield ACTIVE

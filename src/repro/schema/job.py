@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -42,7 +43,7 @@ from .. import trace as _trace
 from ..algorithms.spider import spider_across
 from ..algorithms.values import canonical_value
 from ..checkpointing import active_session
-from ..core.profiler import ALGORITHMS, MUDS_COLUMN_THRESHOLD
+from ..core.profiler import Profile, resolve_algorithm
 from ..faults import FAULTS, SCHEMA_LOAD
 from ..guard import Budget, BudgetExceeded, guarded
 from ..harness.framework import Framework
@@ -116,38 +117,18 @@ def schema_framework(
     algorithm: str = "auto",
 ) -> Framework:
     """Framework with the single ``"schema"`` profiler registered: the
-    :func:`repro.core.profiler.profile` facade (§6.5 auto-selection by
-    default, or one pinned algorithm for every table).
+    :class:`~repro.core.profiler.Profile` of ``algorithm`` (§6.5
+    auto-selection by default, or one pinned algorithm for every table).
 
     Module-level so a :class:`~repro.harness.parallel.FrameworkSpec` can
     rebuild it inside pool workers.
     """
-    from ..core.profiler import profile as _profile
-
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}"
-        )
-
-    class _SchemaProfiler:
-        def profile(self, relation: Relation):
-            return _profile(
-                relation, algorithm=algorithm, seed=seed, sampling=sampling
-            )
-
+    resolve_algorithm(algorithm)  # an unknown name fails here, not per table
     framework = Framework()
-    framework.register("schema", _SchemaProfiler)
+    framework.register(
+        "schema", partial(Profile, algorithm, seed=seed, sampling=sampling)
+    )
     return framework
-
-
-def _resolved_algorithm(algorithm: str, n_columns: int) -> str:
-    """The single-relation algorithm a table actually runs under: the
-    pinned one, or the §6.5 column-count rule for ``"auto"`` (a pure
-    function of the column count, so the parent can record it without
-    waiting for the worker)."""
-    if algorithm != "auto":
-        return algorithm
-    return "muds" if n_columns >= MUDS_COLUMN_THRESHOLD else "holistic_fun"
 
 
 def _column_facts(relation: Relation) -> dict[str, ColumnFacts]:
@@ -282,9 +263,7 @@ class SchemaJob:
                     entry.fingerprint = relation.fingerprint()
                     entry.n_columns = relation.n_columns
                     entry.n_rows = relation.n_rows
-                    entry.algorithm = _resolved_algorithm(
-                        self.algorithm, relation.n_columns
-                    )
+                    entry.algorithm = resolve_algorithm(self.algorithm, relation)
                     relations[entry.name] = relation
                     for column, column_facts in _column_facts(relation).items():
                         facts[(entry.name, column)] = column_facts

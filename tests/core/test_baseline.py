@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given
 
-from repro.core.baseline import SequentialBaseline
+from repro.core.baseline import BaselineProfiler
 from repro.core.holistic_fun import HolisticFun
 
 from ..conftest import relations
@@ -14,16 +14,16 @@ class TestSequentialBaseline:
     def test_matches_holistic_results(self, rel):
         """Sequential execution must find identical metadata — it only
         pays more (three input passes instead of one)."""
-        baseline = SequentialBaseline(seed=1).profile(rel)
+        baseline = BaselineProfiler(seed=1).profile(rel)
         holistic = HolisticFun().profile(rel)
         assert baseline.same_metadata(holistic)
 
     def test_three_separate_phases(self, employees):
-        result = SequentialBaseline().profile(employees)
+        result = BaselineProfiler().profile(employees)
         assert set(result.phase_seconds) == {"spider", "ducc", "fun"}
 
     def test_counters(self, employees):
-        result = SequentialBaseline().profile(employees)
+        result = BaselineProfiler().profile(employees)
         assert result.counters["ucc_checks"] > 0
         assert result.counters["fd_checks"] > 0
 
@@ -32,9 +32,7 @@ class TestConcurrentBaseline:
     """The jobs>1 mode runs SPIDER, DUCC, and FUN in separate processes."""
 
     def test_matches_sequential_metadata(self, employees):
-        from repro.core.baseline import BaselineProfiler
-
-        sequential = SequentialBaseline(seed=1).profile(employees)
+        sequential = BaselineProfiler(seed=1).profile(employees)
         concurrent = BaselineProfiler(seed=1, jobs=3).profile(employees)
         assert concurrent.same_metadata(sequential)
         assert set(concurrent.phase_seconds) == {"spider", "ducc", "fun"}
@@ -47,8 +45,6 @@ class TestConcurrentBaseline:
         runtimes (one machine, one task at a time); the concurrent mode
         additionally has a wall-clock makespan <= that sum on real
         multicore hardware.  Both must be populated and sane."""
-        from repro.core.baseline import BaselineProfiler
-
         profiler = BaselineProfiler(jobs=2)
         result = profiler.profile(employees)
         assert profiler.sum_of_task_seconds is not None
@@ -60,7 +56,7 @@ class TestConcurrentBaseline:
         )
 
     def test_sequential_mode_populates_the_same_metrics(self, employees):
-        profiler = SequentialBaseline()
+        profiler = BaselineProfiler()
         profiler.profile(employees)
         assert profiler.sum_of_task_seconds is not None
         assert profiler.makespan_seconds is not None

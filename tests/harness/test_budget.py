@@ -85,7 +85,7 @@ class TestBudgetedExecutions:
     """Framework integration: budgets stop runs mid-lattice, the execution
     records the TL/ML status, and partial results survive."""
 
-    @pytest.mark.parametrize("algorithm", ["muds", "hfun", "baseline", "tane"])
+    @pytest.mark.parametrize("algorithm", ["muds", "holistic_fun", "baseline", "tane"])
     def test_intersection_budget_yields_timeout_status(self, algorithm):
         framework = default_framework()
         execution = framework.run(
@@ -118,7 +118,7 @@ class TestBudgetedExecutions:
     def test_deadline_mid_lattice_yields_timeout(self):
         framework = default_framework()
         execution = framework.run(
-            "hfun",
+            "holistic_fun",
             wide_relation(),
             budget=Budget(deadline_seconds=0.0, checkpoint_stride=1),
         )
@@ -127,7 +127,7 @@ class TestBudgetedExecutions:
 
     def test_unbudgeted_run_is_unaffected(self):
         framework = default_framework()
-        reference = framework.run("hfun", wide_relation())
+        reference = framework.run("holistic_fun", wide_relation())
         assert reference.status == "ok"
         assert reference.error is None
 
@@ -139,12 +139,12 @@ class TestBudgetedExecutions:
         )
         by_name = {e.algorithm: e for e in executions}
         assert by_name["muds"].status == "timeout"
-        assert by_name["hfun"].status == "ok"
+        assert by_name["holistic_fun"].status == "ok"
         assert by_name["baseline"].status == "ok"
         # The completed contenders still agree (run_all verified it), and
         # their metadata matches an unbudgeted run exactly.
-        unbudgeted = default_framework().run("hfun", relation)
-        assert by_name["hfun"].result.same_metadata(unbudgeted.result)
+        unbudgeted = default_framework().run("holistic_fun", relation)
+        assert by_name["holistic_fun"].result.same_metadata(unbudgeted.result)
 
     def test_budget_reusable_across_runs(self):
         framework = default_framework()

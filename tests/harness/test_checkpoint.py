@@ -169,7 +169,7 @@ class TestProfilerKillMatrix:
 
     def test_hfun(self, tmp_path):
         framework = default_framework()
-        framework_matrix(tmp_path, framework, "hfun", relation_for(42, "h"))
+        framework_matrix(tmp_path, framework, "holistic_fun", relation_for(42, "h"))
 
     def test_baseline(self, tmp_path):
         framework = default_framework()
@@ -254,7 +254,7 @@ class TestRestartScenarios:
         store = CheckpointStore(tmp_path / "ckpt")
         a = store.path_for("ab" * 32, "muds", {"seed": 0})
         b = store.path_for("cd" * 32, "muds", {"seed": 0})
-        c = store.path_for("ab" * 32, "hfun", {"seed": 0})
+        c = store.path_for("ab" * 32, "holistic_fun", {"seed": 0})
         d = store.path_for("ab" * 32, "muds", {"seed": 1})
         assert len({a, b, c, d}) == 4
 

@@ -34,7 +34,7 @@ class TestFaithfulSwitch:
 
     def test_fresh_instances_per_execution(self):
         framework = default_framework()
-        first = framework.run("hfun", table())
-        second = framework.run("hfun", table())
+        first = framework.run("holistic_fun", table())
+        second = framework.run("holistic_fun", table())
         assert first.result is not second.result
         assert first.result.same_metadata(second.result)

@@ -147,7 +147,7 @@ class TestHarnessContainment:
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n2,1\n3,3\n")
         FAULTS.arm(CSV_READ, at=2)
-        runner = ExperimentRunner(default_framework(), algorithms=("hfun",))
+        runner = ExperimentRunner(default_framework(), algorithms=("holistic_fun",))
         points = runner.sweep(["first", "second"], lambda label: read_csv(path))
         assert points[0].error is not None
         assert "injected fault" in points[0].error

@@ -47,7 +47,7 @@ class TestFramework:
 class TestDefaultFramework:
     def test_contenders_registered(self):
         framework = default_framework()
-        assert set(framework.algorithms) == {"baseline", "hfun", "muds", "tane"}
+        assert set(framework.algorithms) == {"baseline", "holistic_fun", "muds", "tane"}
 
     def test_run_all_agreement(self, toy):
         framework = default_framework(faithful_muds=False)

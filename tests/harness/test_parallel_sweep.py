@@ -24,7 +24,7 @@ from repro.harness.parallel import PointTask, run_sweep_points
 from repro.metadata.serialize import result_signature
 from repro.relation import Relation
 
-ALGORITHMS = ("baseline", "hfun")
+ALGORITHMS = ("baseline", "holistic_fun")
 
 FRAMEWORK_SPEC = FrameworkSpec(default_framework, {"seed": 0})
 
@@ -130,7 +130,7 @@ class TestDeterminism:
     def test_budget_markers_match_inline_semantics(self):
         """A TL cell produced inside a worker looks exactly like one
         produced inline: status/marker on the execution, no point error."""
-        budget = {"hfun": Budget(deadline_seconds=0.0, checkpoint_stride=1)}
+        budget = {"holistic_fun": Budget(deadline_seconds=0.0, checkpoint_stride=1)}
         points = _runner().sweep(
             [16],
             WorkloadSpec(toy_workload),
@@ -140,8 +140,8 @@ class TestDeterminism:
             check_agreement=False,
         )
         by_name = {e.algorithm: e for e in points[0].executions}
-        assert by_name["hfun"].status == "timeout"
-        assert by_name["hfun"].marker == "TL"
+        assert by_name["holistic_fun"].status == "timeout"
+        assert by_name["holistic_fun"].marker == "TL"
         assert by_name["baseline"].status == "ok"
         assert points[0].error is None
 
@@ -189,7 +189,7 @@ class TestWorkerDeath:
             PointTask(
                 label=label,
                 workload=WorkloadSpec(killer_workload),
-                algorithms=("hfun",),
+                algorithms=("holistic_fun",),
                 framework=FRAMEWORK_SPEC,
             )
             for label in ("die", "live")

@@ -89,7 +89,7 @@ class TestResultCache:
         fingerprint = "cd" * 32
         cache.put(fingerprint, "muds", {"v": 1}, {"seed": 0})
         assert cache.get("ef" * 32, "muds", {"seed": 0}) is None
-        assert cache.get(fingerprint, "hfun", {"seed": 0}) is None
+        assert cache.get(fingerprint, "holistic_fun", {"seed": 0}) is None
         assert cache.get(fingerprint, "muds", {"seed": 1}) is None
         assert cache.get(fingerprint, "muds", {"seed": 0}) == {"v": 1}
 
@@ -251,8 +251,8 @@ class TestQuarantine:
 class TestFrameworkIntegration:
     def test_second_run_is_served_from_cache(self, toy, cache):
         framework = default_framework()
-        first = framework.run("hfun", toy, cache=cache)
-        second = framework.run("hfun", toy, cache=cache)
+        first = framework.run("holistic_fun", toy, cache=cache)
+        second = framework.run("holistic_fun", toy, cache=cache)
         assert first.cached is False
         assert second.cached is True
         assert second.counts == first.counts
@@ -260,13 +260,13 @@ class TestFrameworkIntegration:
 
     def test_budgeted_runs_bypass_the_cache(self, toy, cache):
         framework = default_framework()
-        framework.run("hfun", toy, cache=cache)  # populates
+        framework.run("holistic_fun", toy, cache=cache)  # populates
         budget = Budget(deadline_seconds=0.0, checkpoint_stride=1)
-        execution = framework.run("hfun", toy, budget=budget, cache=cache)
+        execution = framework.run("holistic_fun", toy, budget=budget, cache=cache)
         assert execution.status == "timeout"  # computed, not served
         assert execution.cached is False
         # And the TL cell was not stored over the good entry.
-        replay = default_framework().run("hfun", toy, cache=cache)
+        replay = default_framework().run("holistic_fun", toy, cache=cache)
         assert replay.cached is True and replay.status == "ok"
 
     def test_failed_runs_are_not_cached(self, toy, cache):
@@ -280,7 +280,7 @@ class TestFrameworkIntegration:
         execution = framework.run("boom", toy, cache=cache)
         assert execution.status == "error"
         assert cache.stats()["puts"] == 0
-        assert default_framework().run("hfun", toy, cache=cache).cached is False
+        assert default_framework().run("holistic_fun", toy, cache=cache).cached is False
 
     def test_config_separates_cache_cells(self, toy, cache):
         framework = default_framework()

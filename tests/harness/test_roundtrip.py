@@ -69,14 +69,14 @@ class TestProfilingResultRoundTrip:
     @settings(max_examples=25, deadline=None)
     @given(relation=relations(max_columns=4, max_rows=8))
     def test_real_profiles_round_trip(self, relation):
-        result = default_framework().run("hfun", relation).result
+        result = default_framework().run("holistic_fun", relation).result
         assert loads(dumps(result)) == result
         assert pickle.loads(pickle.dumps(result)) == result
 
 
 class TestExecutionRoundTrip:
     def test_ok_execution_record_round_trip(self, toy):
-        execution = default_framework().run("hfun", toy)
+        execution = default_framework().run("holistic_fun", toy)
         restored = Execution.from_record(execution.to_record())
         assert restored == execution
         # The record itself must be pure JSON (journal/cache transport).
@@ -117,7 +117,7 @@ class TestExecutionRoundTrip:
         assert restored.error == execution.error
 
     def test_cached_flag_survives_round_trip(self, toy):
-        execution = default_framework().run("hfun", toy)
+        execution = default_framework().run("holistic_fun", toy)
         record = execution.to_record()
         record["cached"] = True
         restored = Execution.from_record(record)

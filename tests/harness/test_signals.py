@@ -249,7 +249,7 @@ SWEEP_INTERRUPT_SCRIPT = """
             name=f"toy[{n_rows}]",
         )
 
-    runner = ExperimentRunner(default_framework(), algorithms=("hfun",))
+    runner = ExperimentRunner(default_framework(), algorithms=("holistic_fun",))
     journal = SweepJournal(flag_dir / "sweep.jsonl")
     try:
         runner.sweep([4, 6], workload, journal=journal, handle_signals=True)

@@ -40,14 +40,14 @@ class _CountingProfiler:
 def counting_runner() -> ExperimentRunner:
     _CountingProfiler.calls = 0
     framework = Framework()
-    framework.register("hfun", _CountingProfiler)
+    framework.register("holistic_fun", _CountingProfiler)
     return ExperimentRunner(framework)
 
 
 class TestExecutionRoundTrip:
     def test_to_record_from_record_is_lossless(self):
         framework = default_framework()
-        original = framework.run("hfun", workload(6))
+        original = framework.run("holistic_fun", workload(6))
         restored = Execution.from_record(
             json.loads(json.dumps(original.to_record()))
         )
@@ -77,13 +77,13 @@ class TestJournal:
     def test_append_then_load(self, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
         point = SweepPoint(label=4)
-        point.executions.append(default_framework().run("hfun", workload(4)))
+        point.executions.append(default_framework().run("holistic_fun", workload(4)))
         journal.append(point)
         loaded = journal.load()
         assert len(loaded) == 1
         (restored,) = loaded.values()
         assert restored.label == 4
-        assert restored.executions[0].algorithm == "hfun"
+        assert restored.executions[0].algorithm == "holistic_fun"
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert SweepJournal(tmp_path / "absent.jsonl").load() == {}
@@ -175,7 +175,7 @@ class TestResume:
 
     def test_restored_points_preserve_metadata(self, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
-        runner = ExperimentRunner(default_framework(), algorithms=("hfun",))
+        runner = ExperimentRunner(default_framework(), algorithms=("holistic_fun",))
         first = runner.sweep([6], workload, journal=journal)
         second = runner.sweep([6], workload, journal=journal)
         assert second[0].executions[0].result.same_metadata(
@@ -207,7 +207,7 @@ class TestSweepContainment:
         ).deduplicated()
         journal = SweepJournal(tmp_path / "sweep.jsonl")
         runner = ExperimentRunner(
-            default_framework(), algorithms=("hfun", "muds", "baseline")
+            default_framework(), algorithms=("holistic_fun", "muds", "baseline")
         )
         points = runner.sweep(
             ["only"],
@@ -218,15 +218,15 @@ class TestSweepContainment:
         by_name = {e.algorithm: e for e in points[0].executions}
         assert by_name["muds"].status == "timeout"
         assert len(by_name["muds"].result.inds) > 0  # partial kept
-        assert by_name["hfun"].status == "ok"
+        assert by_name["holistic_fun"].status == "ok"
         assert by_name["baseline"].status == "ok"
-        assert by_name["hfun"].result.same_metadata(by_name["baseline"].result)
+        assert by_name["holistic_fun"].result.same_metadata(by_name["baseline"].result)
         assert points[0].error is None  # TL cell is not a disagreement
         # The journaled point restores with identical statuses.
         (restored,) = journal.load().values()
         assert {e.algorithm: e.status for e in restored.executions} == {
             "muds": "timeout",
-            "hfun": "ok",
+            "holistic_fun": "ok",
             "baseline": "ok",
         }
 
@@ -234,7 +234,7 @@ class TestSweepContainment:
 class TestSweepTable:
     def test_markers_rendered(self, tmp_path):
         runner = ExperimentRunner(
-            default_framework(), algorithms=("hfun", "muds")
+            default_framework(), algorithms=("holistic_fun", "muds")
         )
         points = runner.sweep(
             [4, 8],
@@ -245,10 +245,10 @@ class TestSweepTable:
         )
         table = sweep_table(points)
         assert "TL" in table
-        assert "hfun" in table and "muds" in table
+        assert "holistic_fun" in table and "muds" in table
 
     def test_point_error_flagged(self):
-        runner = ExperimentRunner(default_framework(), algorithms=("hfun",))
+        runner = ExperimentRunner(default_framework(), algorithms=("holistic_fun",))
 
         def exploding(label):
             raise RuntimeError("boom")

@@ -30,7 +30,7 @@ from repro.trace import (
 from repro.pli.pli import pli_from_column
 from repro.relation.relation import Relation
 
-ALGORITHMS = ("baseline", "hfun")
+ALGORITHMS = ("baseline", "holistic_fun")
 
 FRAMEWORK_SPEC = FrameworkSpec(default_framework, {"seed": 0})
 
@@ -115,7 +115,7 @@ def test_standalone_events_record_current_span():
 def test_disabled_mode_produces_zero_events():
     assert trace.ACTIVE is None  # conftest fixture guarantees this
     framework = default_framework(seed=0)
-    framework.run("hfun", toy_workload(30))
+    framework.run("holistic_fun", toy_workload(30))
     assert trace.ACTIVE is None
     # Module helpers are no-ops while disabled.
     assert trace.span("x") is trace.NULL_SPAN
@@ -309,11 +309,11 @@ def test_validate_rejects_malformed_events():
 def test_framework_run_emits_run_span():
     tracer = trace.enable()
     framework = default_framework(seed=0)
-    execution = framework.run("hfun", toy_workload(30))
+    execution = framework.run("holistic_fun", toy_workload(30))
     assert execution.ok
     runs = _ends(tracer.events, "run")
     assert len(runs) == 1
-    assert runs[0]["attrs"]["algorithm"] == "hfun"
+    assert runs[0]["attrs"]["algorithm"] == "holistic_fun"
     assert runs[0]["attrs"]["status"] == "ok"
     # Phases nest under the run span.
     run_begin = next(
@@ -334,11 +334,11 @@ def test_cached_run_emits_cache_hit_event_and_no_spans(tmp_path):
     relation = toy_workload(25)
     cache = ResultCache(tmp_path / "cache")
     framework = default_framework(seed=0)
-    first = framework.run("hfun", relation, cache=cache, cache_config="t")
+    first = framework.run("holistic_fun", relation, cache=cache, cache_config="t")
     assert first.ok and not first.cached
 
     tracer = trace.enable()
-    second = framework.run("hfun", relation, cache=cache, cache_config="t")
+    second = framework.run("holistic_fun", relation, cache=cache, cache_config="t")
     assert second.cached
     hits = [
         e
@@ -346,14 +346,14 @@ def test_cached_run_emits_cache_hit_event_and_no_spans(tmp_path):
         if e["type"] == "event" and e["name"] == "cache.hit"
     ]
     assert len(hits) == 1
-    assert hits[0]["attrs"]["algorithm"] == "hfun"
+    assert hits[0]["attrs"]["algorithm"] == "holistic_fun"
     # A served run performs no algorithm work: no run span, no phase spans.
     assert not [e for e in tracer.events if e["type"] in ("begin", "end")]
 
     # The computed path, by contrast, emits the run span (both paths pinned).
     trace.enable()
     third = framework.run(
-        "hfun", toy_workload(26), cache=cache, cache_config="t"
+        "holistic_fun", toy_workload(26), cache=cache, cache_config="t"
     )
     assert third.ok and not third.cached
     assert len(_ends(trace.ACTIVE.events, "run")) == 1
@@ -410,7 +410,7 @@ def test_parallel_trace_structurally_equals_serial():
 def test_summary_self_seconds_partition_root_time():
     tracer = trace.enable()
     framework = default_framework(seed=0)
-    for name in ("baseline", "hfun", "muds"):
+    for name in ("baseline", "holistic_fun", "muds"):
         framework.run(name, toy_workload(40))
     summary = trace_summary(tracer.events)
     self_total = summary_total_seconds(summary)

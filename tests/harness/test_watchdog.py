@@ -170,7 +170,7 @@ class TestHungWorkerEndToEnd:
             workload=WorkloadSpec(
                 hang_once_workload, kwargs={"flag_dir": str(tmp_path)}
             ),
-            algorithms=("hfun",),
+            algorithms=("holistic_fun",),
             framework=FrameworkSpec(),
         )
         started = time.monotonic()
@@ -194,7 +194,7 @@ class TestHungWorkerEndToEnd:
         task = PointTask(
             label="p0",
             workload=WorkloadSpec(always_hang_workload),
-            algorithms=("hfun",),
+            algorithms=("holistic_fun",),
             framework=FrameworkSpec(),
         )
         results = list(run_sweep_points([task], jobs=1, watchdog_grace=1.0))

@@ -52,7 +52,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 SCENARIOS = int(os.environ.get("REPRO_CHAOS_SCENARIOS", "6"))
-ALGORITHMS = ("hfun", "muds", "tane", "baseline")
+ALGORITHMS = ("holistic_fun", "muds", "tane", "baseline")
 RETRY_ABSORBED = (
     CHECKPOINT_LOAD,
     CHECKPOINT_SAVE,
@@ -132,13 +132,13 @@ class TestFaultStorm:
     def test_seeded_io_faults_stay_contained(self, seed, tmp_path):
         rng = random.Random(2000 + seed)
         relation = chaos_relation(rng, f"fault-storm-{seed}")
-        reference = default_framework().run("hfun", relation)
+        reference = default_framework().run("holistic_fun", relation)
 
         # verify_completeness=True so hfun/muds agreement is exact and any
         # disagreement the sweep reports is genuinely fault-induced.
         runner = ExperimentRunner(
             default_framework(faithful_muds=False),
-            algorithms=("hfun", "muds"),
+            algorithms=("holistic_fun", "muds"),
         )
         for point in RETRY_ABSORBED:
             FAULTS.arm_seeded(point, probability=0.1, seed=seed)
@@ -156,7 +156,7 @@ class TestFaultStorm:
         assert points[0].error is None
         for execution in points[0].executions:
             assert execution.status in ("ok", "error"), execution.status
-            if execution.algorithm == "hfun" and execution.ok:
+            if execution.algorithm == "holistic_fun" and execution.ok:
                 assert_same_outcome(execution, reference)
 
         # Calm after the storm: a fresh sweep over the same state reaches
@@ -231,7 +231,7 @@ class TestHangChaos:
         for seed in seeds:
             rng = random.Random(seed)
             relation = chaos_relation(rng, f"hang-p-{seed}")
-            references[seed] = default_framework().run("hfun", relation)
+            references[seed] = default_framework().run("holistic_fun", relation)
 
         tasks = [
             PointTask(
@@ -239,7 +239,7 @@ class TestHangChaos:
                 workload=WorkloadSpec(
                     chaos_hang_workload, kwargs={"flag_dir": str(tmp_path)}
                 ),
-                algorithms=("hfun",),
+                algorithms=("holistic_fun",),
                 framework=FrameworkSpec(),
             )
             for seed in seeds

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import random
 
 import pytest
 
@@ -11,7 +12,12 @@ from repro.cli import (
     build_watch_parser,
     main,
 )
-from repro.relation import Relation, write_csv
+from repro.core.profiler import profile
+from repro.faults import FAULTS, PROFILER_STEP
+from repro.harness import ResultCache, default_framework
+from repro.metadata.serialize import result_to_dict
+from repro.pli import backend as _backend
+from repro.relation import Relation, encoded as _storage, read_csv, write_csv
 
 
 @pytest.fixture
@@ -212,6 +218,106 @@ class TestSetupErrors:
         argv = ["profile-schema", str(csv_path.parent), "--json", str(target)]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestCrashContainment:
+    """A crashing profiler ends in ``error:`` and exit 1, never a
+    traceback, and its checkpoint survives for the next attempt."""
+
+    @pytest.fixture
+    def wide_csv(self, tmp_path):
+        rng = random.Random(5)
+        lines = ["a,b,c,d,e,f"]
+        lines += [
+            ",".join(str(rng.randrange(3)) for _ in range(6)) for _ in range(60)
+        ]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.fixture(autouse=True)
+    def _disarm(self):
+        yield
+        FAULTS.disarm()
+
+    def test_injected_fault_exits_1(self, wide_csv, capsys):
+        FAULTS.arm(PROFILER_STEP, at=1)
+        assert main([str(wide_csv), "--no-result-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "error: FaultInjected: " in captured.err
+        assert captured.out == ""
+
+    def test_checkpoint_kept_and_resumed(self, wide_csv, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        argv = [str(wide_csv), "--algorithm", "muds", "--no-result-cache",
+                "--checkpoint-dir", str(ckpt)]
+        FAULTS.arm(PROFILER_STEP, at=5)
+        assert main(argv) == 1
+        assert "error: FaultInjected: " in capsys.readouterr().err
+        assert list(ckpt.rglob("*.ckpt.json"))
+        FAULTS.disarm()
+        assert main(argv) == 0
+        assert "resuming muds from checkpoint" in capsys.readouterr().err
+        assert not list(ckpt.rglob("*.ckpt.json"))
+
+
+def _cli_cache_config():
+    """The configuration a default ``repro CSV`` run keys its cache with."""
+    return {
+        "seed": 0,
+        "as_published": False,
+        "sampling": True,
+        "pli_backend": _backend.ACTIVE.name,
+        "storage": _storage.ACTIVE,
+    }
+
+
+class TestOneCachePayload:
+    """The CLI and ``Framework.run`` read and write one entry shape."""
+
+    def test_cli_entry_serves_the_framework(self, csv_path, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        argv = [str(csv_path), "--algorithm", "holistic_fun",
+                "--result-cache", str(cache_dir)]
+        assert main(argv) == 0
+        execution = default_framework().run(
+            "holistic_fun",
+            read_csv(csv_path).deduplicated(),
+            cache=ResultCache(cache_dir),
+            cache_config=_cli_cache_config(),
+        )
+        assert execution.cached
+
+    def test_framework_entry_serves_the_cli(self, csv_path, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        execution = default_framework().run(
+            "holistic_fun",
+            read_csv(csv_path).deduplicated(),
+            cache=ResultCache(cache_dir),
+            cache_config=_cli_cache_config(),
+        )
+        assert not execution.cached
+        argv = [str(csv_path), "--algorithm", "holistic_fun",
+                "--result-cache", str(cache_dir)]
+        assert main(argv) == 0
+        assert "result cache hit for holistic_fun" in capsys.readouterr().err
+
+    def test_bare_result_entry_is_recomputed_and_replaced(
+        self, csv_path, tmp_path, capsys
+    ):
+        relation = read_csv(csv_path).deduplicated()
+        cache = ResultCache(tmp_path / "cache")
+        config = _cli_cache_config()
+        bare = result_to_dict(profile(relation, algorithm="holistic_fun"))
+        cache.put(relation.fingerprint(), "holistic_fun", bare, config)
+        argv = [str(csv_path), "--algorithm", "holistic_fun",
+                "--result-cache", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        assert "result cache hit" not in capsys.readouterr().err
+        record = cache.get(relation.fingerprint(), "holistic_fun", config)
+        assert record["algorithm"] == "holistic_fun"
+        assert main(argv) == 0
+        assert "result cache hit" in capsys.readouterr().err
 
 
 def _surface(parser):

@@ -84,7 +84,7 @@ def csv_path(tmp_path):
 
 def reference_metadata(csv_path):
     relation = read_csv(csv_path).deduplicated()
-    return default_framework().run("hfun", relation).result
+    return default_framework().run("holistic_fun", relation).result
 
 
 class TestEveryPointContained:
@@ -93,7 +93,7 @@ class TestEveryPointContained:
     def test_sweep_survives_and_recovers(self, point, at, csv_path, tmp_path):
         reference = reference_metadata(csv_path)
         journal = SweepJournal(tmp_path / f"{point}.{at}.jsonl")
-        runner = ExperimentRunner(default_framework(), algorithms=("hfun", "muds"))
+        runner = ExperimentRunner(default_framework(), algorithms=("holistic_fun", "muds"))
         # Cache and checkpoints are wired in so the retried I/O points
         # (``result_cache.*``, ``checkpoint.*``) actually get exercised.
         result_cache = ResultCache(tmp_path / f"{point}.{at}.cache")
@@ -178,7 +178,7 @@ class TestSeededCampaign:
             fired = FAULTS.fired(STORAGE_SPILL)
             FAULTS.disarm()
             assert fired == 1  # the point genuinely tripped and was absorbed
-            execution = default_framework().run("hfun", relation)
+            execution = default_framework().run("holistic_fun", relation)
         assert execution.status == "ok"
         assert execution.result.same_metadata(reference)
 
@@ -195,10 +195,10 @@ class TestSeededCampaign:
         framework = default_framework()
         relation = read_csv(csv_path).deduplicated()
         FAULTS.arm(CACHE_PUT, at=2)
-        faulted = framework.run("hfun", relation)
+        faulted = framework.run("holistic_fun", relation)
         FAULTS.disarm()
         assert faulted.status == "error"
-        recovered = framework.run("hfun", relation)
+        recovered = framework.run("holistic_fun", relation)
         assert recovered.status == "ok"
         assert recovered.result.same_metadata(reference)
 
